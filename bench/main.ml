@@ -111,16 +111,11 @@ let tests () =
          (let r = Gator.Analysis.analyze connectbot in
           fun () -> Fmt.str "%a" Gator.Graph.pp_dot r.Gator.Analysis.graph));
     (* Solver engines head to head on the largest app: same extracted
-       graph, naive re-iteration vs delta scheduling *)
+       graph, naive re-iteration vs interned semi-naive scheduling *)
     Test.make ~name:"analysis/naive(XBMC)"
       (Staged.stage
          (let graph = Gator.Extract.run Gator.Config.default xbmc in
           let config = { Gator.Config.default with solver = Gator.Config.Naive } in
-          fun () -> Gator.Solve.run config xbmc graph));
-    Test.make ~name:"analysis/delta(XBMC)"
-      (Staged.stage
-         (let graph = Gator.Extract.run Gator.Config.default xbmc in
-          let config = { Gator.Config.default with solver = Gator.Config.Delta } in
           fun () -> Gator.Solve.run config xbmc graph));
     Test.make ~name:"analysis/interned(XBMC)"
       (Staged.stage
@@ -289,9 +284,9 @@ let time_engines prepared =
     done;
     !best
   in
-  let delta_seconds = time_engine Gator.Config.Delta in
+  let naive_seconds = time_engine Gator.Config.Naive in
   let interned_seconds = time_engine Gator.Config.Interned in
-  (delta_seconds, interned_seconds)
+  (naive_seconds, interned_seconds)
 
 let engine_head_to_head () =
   let prepared =
@@ -301,16 +296,16 @@ let engine_head_to_head () =
         (app, Gator.Extract.run Gator.Config.default app))
       Corpus.Apps.specs
   in
-  let delta_seconds, interned_seconds = time_engines prepared in
+  let naive_seconds, interned_seconds = time_engines prepared in
   Printf.printf "Full-corpus solver head-to-head (solve phase only, %d apps, best of 3):\n"
     (List.length prepared);
-  Printf.printf "  delta     %7.4f s\n" delta_seconds;
-  Printf.printf "  interned  %7.4f s  %.2fx\n" interned_seconds (delta_seconds /. interned_seconds);
+  Printf.printf "  naive     %7.4f s\n" naive_seconds;
+  Printf.printf "  interned  %7.4f s  %.2fx\n" interned_seconds (naive_seconds /. interned_seconds);
   print_newline ();
-  (List.length prepared, delta_seconds, interned_seconds)
+  (List.length prepared, naive_seconds, interned_seconds)
 
 (* Cycle-heavy head-to-head: where the SCC condensation actually pays.
-   Rings of copies make the structural delta engine chase values all
+   Rings of copies make the structural naive engine chase values all
    the way around each ring, while the condensed engine keeps one
    shared set per component and never propagates inside it. *)
 let cyclic_head_to_head () =
@@ -325,17 +320,17 @@ let cyclic_head_to_head () =
         in
         (app, Gator.Extract.run Gator.Config.default app))
   in
-  let delta_seconds, interned_seconds = time_engines prepared in
+  let naive_seconds, interned_seconds = time_engines prepared in
   Printf.printf "Cycle-heavy solver head-to-head (solve phase only, %d apps, best of 3):\n"
     (List.length prepared);
-  Printf.printf "  delta          %7.4f s\n" delta_seconds;
+  Printf.printf "  naive          %7.4f s\n" naive_seconds;
   Printf.printf "  interned (scc) %7.4f s  %.2fx\n" interned_seconds
-    (delta_seconds /. interned_seconds);
+    (naive_seconds /. interned_seconds);
   print_newline ();
-  (List.length prepared, delta_seconds, interned_seconds)
+  (List.length prepared, naive_seconds, interned_seconds)
 
 (* Incremental head-to-head on XBMC: full interned solve of the
-   patched app from scratch vs the warm delta restart from the
+   patched app from scratch vs the warm restart from the
    previous solve's captured state, best of 5 each, with a
    bit-identity check on the resulting analyses. *)
 let incremental_head_to_head () =
@@ -356,7 +351,7 @@ let incremental_head_to_head () =
   (* full: from-scratch interned solve of the patched graph *)
   let cold_graph = Gator.Extract.run config patched in
   let full_seconds = best_of 5 (fun () -> Gator.Solve.run_solved config patched cold_graph) in
-  (* warm: delta restart over the shared interner *)
+  (* warm: restart over the shared interner *)
   let warm_graph =
     Gator.Extract.run ~interner:(Gator.Solve.solved_interner prev) config patched
   in
@@ -525,9 +520,6 @@ let write_json_results rows corpus_batch engines cyclic incremental queries stre
             ("op_applications", Util.Json.Int row.sv_op_applications);
             ("naive_equivalent", Util.Json.Int row.sv_naive_equivalent);
             ("propagations", Util.Json.Int row.sv_propagations);
-            ("delta_pushes", Util.Json.Int row.sv_delta_pushes);
-            ("desc_cache_hits", Util.Json.Int row.sv_desc_hits);
-            ("desc_cache_misses", Util.Json.Int row.sv_desc_misses);
             ("interned_values", Util.Json.Int row.sv_interned_values);
             ("bitset_words", Util.Json.Int row.sv_bitset_words);
             ("union_calls", Util.Json.Int row.sv_union_calls);
@@ -536,7 +528,7 @@ let write_json_results rows corpus_batch engines cyclic incremental queries stre
             ("ctx_count", Util.Json.Int row.sv_ctx_count);
             ("ctx_keys", Util.Json.Int row.sv_ctx_keys);
           ])
-      [ Gator.Config.Naive; Gator.Config.Delta; Gator.Config.Interned ]
+      [ Gator.Config.Naive; Gator.Config.Interned ]
   in
   let seq_seconds =
     match corpus_batch with (_, s, _) :: _ -> s | [] -> Float.nan
@@ -553,13 +545,13 @@ let write_json_results rows corpus_batch engines cyclic incremental queries stre
           ])
       corpus_batch
   in
-  let engine_entry (apps, delta_seconds, interned_seconds) key =
+  let engine_entry (apps, naive_seconds, interned_seconds) key =
     Util.Json.Obj
       [
         (key, Util.Json.Int apps);
-        ("delta_seconds", Util.Json.Float delta_seconds);
+        ("naive_seconds", Util.Json.Float naive_seconds);
         ("interned_seconds", Util.Json.Float interned_seconds);
-        ("speedup", Util.Json.Float (delta_seconds /. interned_seconds));
+        ("speedup", Util.Json.Float (naive_seconds /. interned_seconds));
       ]
   in
   let json =

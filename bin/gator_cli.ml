@@ -344,6 +344,9 @@ let stream_cmd =
       $ Term.app (const not) no_timings $ private_intern $ quiet)
 
 let () =
+  (* Solver warnings (e.g. the iteration cap) go to stderr. *)
+  Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
+  Logs.set_level (Some Logs.Warning);
   let code =
     Arg.(
       non_empty
@@ -362,20 +365,15 @@ let () =
   in
   let solver =
     let engines =
-      [
-        ("naive", Gator.Config.Naive);
-        ("delta", Gator.Config.Delta);
-        ("interned", Gator.Config.Interned);
-      ]
+      [ ("naive", Gator.Config.Naive); ("interned", Gator.Config.Interned) ]
     in
     Arg.(
       value
       & opt (enum engines) Gator.Config.default.Gator.Config.solver
       & info [ "solver" ] ~docv:"ENGINE"
           ~doc:
-            "Constraint-solver engine: $(b,naive) (executable specification), $(b,delta) \
-             (semi-naive structural), or $(b,interned) (semi-naive over dense ids and bitsets; \
-             default). All three produce the same solution.")
+            "Constraint-solver engine: $(b,naive) (executable specification) or $(b,interned) \
+             (semi-naive over dense ids and bitsets; default). Both produce the same solution.")
   in
   let dot = Arg.(value & flag & info [ "dot" ] ~doc:"Dump the constraint graph in Graphviz form.") in
   let interactions =

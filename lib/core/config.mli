@@ -5,14 +5,12 @@
     switch exists for the ablation benchmarks documented in
     DESIGN.md. *)
 
-(** Fixed-point engine selection.  All three compute the same
-    solution; [Naive] re-applies every operation against full sets
-    each round (the executable specification), [Delta] schedules only
-    ops whose inputs grew via the graph's dependency index and
-    per-node delta sets, and [Interned] (the default) runs the same
-    semi-naive schedule over hash-consed dense integer ids with bitset
-    solution sets and a CSR flow graph. *)
-type solver = Naive | Delta | Interned
+(** Fixed-point engine selection.  Both compute the same solution;
+    [Naive] re-applies every operation against full sets each round
+    (the executable specification), and [Interned] (the default)
+    re-applies only the ops whose inputs grew, over hash-consed dense
+    integer ids with bitset solution sets and a CSR flow graph. *)
+type solver = Naive | Interned
 
 val solver_name : solver -> string
 
@@ -51,7 +49,7 @@ type t = {
           the inlining path at every depth — the differential batteries
           pin it — but skips the per-occurrence string mangling and
           structural table writes.  Only the [Interned] solver honours
-          it; structural engines always take the inlining path.  [false]
+          it; the naive engine always takes the inlining path.  [false]
           forces inlining everywhere, for the equivalence oracle and the
           bench head-to-head. *)
   max_iterations : int;  (** fixed-point safety valve *)

@@ -103,27 +103,13 @@ val add_value : t -> Node.t -> Node.value -> bool
 
 val set_of : t -> Node.t -> VS.t
 
-val set_track_deltas : t -> bool -> unit
-(** Enable or disable per-node delta bookkeeping.  When on, every value
-    admitted by {!add_value} is also recorded in the node's delta
-    until the next {!take_delta}.  Off by default; the delta solver
-    turns it on after {!reset_sets}. *)
-
-val delta_of : t -> Node.t -> Node.value list
-
-val take_delta : t -> Node.t -> Node.value list
-(** Consume a node's delta: returns the values added since the last
-    call (newest first, no duplicates — {!add_value} admits each value
-    once) and clears the slate.  Only meaningful under
-    {!set_track_deltas}. *)
-
 val views_of : t -> Node.t -> Node.view_abs list
 
 (** {2 Imprecision taint}
 
     The subset of each location's points-to set whose membership was
     justified (transitively) by an unknown-id marker.  Purely
-    diagnostic: solving never branches on taint, and all three engines
+    diagnostic: solving never branches on taint, and both engines
     compute the identical plane.  Invariant at fixpoint:
     [taints_of t n ⊆ set_of t n]. *)
 
@@ -161,25 +147,9 @@ val parents_of : t -> Node.view_abs -> View_set.t
 val descendants : t -> include_self:bool -> Node.view_abs -> View_set.t
 (** Reflexive-or-strict transitive closure of parent-child, by BFS. *)
 
-val descendants_cached : t -> include_self:bool -> Node.view_abs -> View_set.t
-(** Memoized {!descendants}: caches the strict closure per view and
-    invalidates the view's ancestors' entries when {!add_child} inserts
-    a new edge.  Result is identical to {!descendants}. *)
-
-val ancestors : t -> Node.view_abs -> View_set.t
-(** Reflexive upward closure over the parent relation. *)
-
-val desc_cache_counters : t -> int * int
-(** (hits, misses) of the {!descendants_cached} memo table. *)
-
 val add_view_id : t -> Node.view_abs -> int -> bool
 
 val ids_of_view : t -> Node.view_abs -> Int_set.t
-
-val views_by_id : t -> int -> View_set.t
-(** Reverse id index: every view carrying [id].  Lets FINDVIEW rules
-    intersect a (typically tiny) candidate set with a hierarchy closure
-    instead of filtering the whole closure by id. *)
 
 val add_holder_root : t -> Node.holder -> Node.view_abs -> bool
 
@@ -249,20 +219,11 @@ val root_layout_entries : t -> (Node.view_abs * int list) list
 val ops : t -> op list
 (** In creation order. *)
 
-(** {1 Dependency index (delta solver)}
+(** {1 Relation readers}
 
-    Built lazily from the static op list; maps each location and each
-    view relation to the ops that read it, so the solver can schedule
-    exactly the ops whose inputs grew. *)
-
-val ops_reading : t -> Node.t -> op list
-(** Ops with [node] as receiver or argument, in creation order. *)
-
-val ops_reading_children : t -> op list
-
-val ops_reading_ids : t -> op list
-
-val ops_reading_roots : t -> op list
+    Which view relations an op's rule consults beyond its receiver and
+    argument sets; the interned solver re-schedules these ops when the
+    relation grows. *)
 
 val reads_children : op -> bool
 (** Does the op's rule consult the parent/child relation? *)
@@ -334,8 +295,6 @@ val install_children : t -> Node.view_abs -> View_set.t -> unit
 val install_parents : t -> Node.view_abs -> View_set.t -> unit
 
 val install_ids : t -> Node.view_abs -> Int_set.t -> unit
-
-val install_views_by_id : t -> int -> View_set.t -> unit
 
 val install_roots : t -> Node.holder -> View_set.t -> unit
 

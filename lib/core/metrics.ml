@@ -23,9 +23,6 @@ type solver_row = {
   sv_op_applications : int;
   sv_naive_equivalent : int;  (** iterations * |ops| — what the naive loop would apply *)
   sv_propagations : int;
-  sv_delta_pushes : int;
-  sv_desc_hits : int;
-  sv_desc_misses : int;
   sv_interned_values : int;
   sv_bitset_words : int;
   sv_union_calls : int;
@@ -134,9 +131,6 @@ let solver_stats (r : Analysis.t) =
     sv_op_applications = stats.Solve.op_applications;
     sv_naive_equivalent = stats.Solve.iterations * op_count;
     sv_propagations = stats.Solve.propagations;
-    sv_delta_pushes = stats.Solve.delta_pushes;
-    sv_desc_hits = stats.Solve.desc_cache_hits;
-    sv_desc_misses = stats.Solve.desc_cache_misses;
     sv_interned_values = stats.Solve.interned_values;
     sv_bitset_words = stats.Solve.bitset_words;
     sv_union_calls = stats.Solve.union_calls;

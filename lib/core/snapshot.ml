@@ -326,8 +326,9 @@ let dconfig j =
     solver =
       (match dstr (dfield "solver" j) with
       | "naive" -> Config.Naive
-      | "delta" -> Config.Delta
-      | "interned" -> Config.Interned
+      (* The retired semi-naive structural engine computed the interned
+         engine's solution; its snapshots stay loadable and warm. *)
+      | "interned" | "delta" -> Config.Interned
       | s -> bad "unknown solver %s" s);
     jobs = dint (dfield "jobs" j);
     incremental = bool_field "incremental";
@@ -431,7 +432,6 @@ let of_json j =
           (Util.Bitset.fold
              (fun sym acc -> Graph.Int_set.add (Intern.rid_of it sym) acc)
              b Graph.Int_set.empty));
-    each by_id (fun sym b -> Graph.install_views_by_id graph (Intern.rid_of it sym) (view_set b));
     each roots (fun hid b -> Graph.install_roots graph (Intern.holder_of it hid) (view_set b));
     each listeners (fun wid b ->
         Graph.install_listeners graph (Intern.view_of it wid)

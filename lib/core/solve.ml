@@ -2,9 +2,6 @@ type stats = {
   iterations : int;
   propagations : int;
   op_applications : int;
-  delta_pushes : int;
-  desc_cache_hits : int;
-  desc_cache_misses : int;
   interned_values : int;  (** distinct interned abstract values (interned solver, else 0) *)
   interned_nodes : int;  (** distinct interned locations (interned solver, else 0) *)
   bitset_words : int;  (** words allocated across solution-set bitsets (interned solver, else 0) *)
@@ -42,14 +39,8 @@ type state = {
   app : Framework.App.t;
   graph : Graph.t;
   worklist : Node.t Util.Worklist.t;
-  descend : include_self:bool -> Node.view_abs -> Graph.View_set.t;
-      (** descendants closure; memoized under the delta solver *)
-  indexed_find : bool;
-      (** resolve FINDVIEW through the reverse id index (delta solver);
-        the naive path filters the closure, spelling the rule literally *)
   mutable propagations : int;
   mutable op_applications : int;
-  mutable delta_pushes : int;
   mutable dirty : bool;  (** a set or relation grew during the current op pass *)
 }
 
@@ -81,34 +72,6 @@ let propagate_full state =
                 Util.Worklist.add state.worklist dst)
             values)
         (Graph.succs state.graph node))
-
-(* Semi-naive propagation: push only each node's delta (the values that
-   arrived since its last drain).  Sound because flow edges are static
-   during solving, so every (value, edge) pair is attempted exactly
-   once.  [changed] fires for every node whose set grew, letting the
-   caller schedule the ops reading it. *)
-let propagate_delta state ~changed =
-  let hierarchy = state.app.Framework.App.hierarchy in
-  Util.Worklist.drain state.worklist (fun node ->
-      state.propagations <- state.propagations + 1;
-      match Graph.take_delta state.graph node with
-      | [] -> ()
-      | delta ->
-          List.iter
-            (fun (kind, dst) ->
-              List.iter
-                (fun value ->
-                  state.delta_pushes <- state.delta_pushes + 1;
-                  let passes =
-                    match kind with
-                    | Graph.E_direct -> true
-                    | Graph.E_cast cls -> passes_cast hierarchy cls value
-                  in
-                  if passes && Graph.add_value state.graph dst value then
-                    Util.Worklist.add state.worklist dst)
-                delta)
-            (Graph.succs state.graph node);
-          changed node)
 
 (* Values at the argument location of an op, view-id constants only. *)
 let view_ids_at state node =
@@ -225,35 +188,24 @@ let inject_handler_flows state view listener iface =
     iface.Framework.Listeners.i_handlers
 
 (* find(view, id): descendants (reflexively) of the receiver carrying
-   the id — rule FINDVIEW1's [ancestorOf] + [=> id] conditions.  Both
-   paths compute the same set; the indexed one starts from the few
-   views carrying [id] rather than the whole closure. *)
+   the id — rule FINDVIEW1's [ancestorOf] + [=> id] conditions.  A view
+   whose id row carries the ⊤ sentinel (SetId(v, ⊤)) matches any
+   queried id; the sentinel only enters rows on ⊤ graphs. *)
 let find_in_hierarchy state root id =
-  let scope = state.descend ~include_self:true root in
-  let base =
-    if state.indexed_find then Graph.View_set.inter (Graph.views_by_id state.graph id) scope
-    else
-      Graph.View_set.filter (fun w -> Graph.Int_set.mem id (Graph.ids_of_view state.graph w)) scope
+  let carries w =
+    let ids = Graph.ids_of_view state.graph w in
+    Graph.Int_set.mem id ids || Graph.Int_set.mem Node.top_view_id_raw ids
   in
-  (* A view whose id row carries the ⊤ sentinel (SetId(v, ⊤)) matches
-     any queried id.  The sentinel only enters rows on ⊤ graphs, so
-     non-⊤ apps take the unchanged fast path. *)
-  if Graph.has_top state.graph then
-    Graph.View_set.union base
-      (Graph.View_set.inter (Graph.views_by_id state.graph Node.top_view_id_raw) scope)
-  else base
+  Graph.View_set.filter carries (Graph.descendants state.graph ~include_self:true root)
 
 (* FindView(v, ⊤): the query may name any id, so it resolves to every
    view in scope carrying at least one id. *)
 let find_any_id state root =
   Graph.View_set.filter
     (fun w -> not (Graph.Int_set.is_empty (Graph.ids_of_view state.graph w)))
-    (state.descend ~include_self:true root)
+    (Graph.descendants state.graph ~include_self:true root)
 
-(* [note_ret] lets the delta solver register the dynamically-resolved
-   [N_ret] locations an op reads (fragment/adapter callbacks), which a
-   static receiver/argument index cannot see. *)
-let apply_op state ?(note_ret = fun (_ : Node.t) -> ()) (op : Graph.op) =
+let apply_op state (op : Graph.op) =
   let g = state.graph in
   let out value = Option.iter (fun node -> push_value state node value) op.op_out in
   let out_view view = out (Node.V_view view) in
@@ -366,7 +318,7 @@ let apply_op state ?(note_ret = fun (_ : Node.t) -> ()) (op : Graph.op) =
             | Framework.Api.Children when state.config.Config.findone_refinement ->
                 Graph.children_of g v
             | Framework.Api.Children | Framework.Api.Descendants ->
-                state.descend ~include_self:false v
+                Graph.descendants g ~include_self:false v
           in
           Graph.View_set.iter out_view results)
         (views_at state op.op_recv)
@@ -425,7 +377,6 @@ let apply_op state ?(note_ret = fun (_ : Node.t) -> ()) (op : Graph.op) =
           | Some (owner, m) ->
               let tmid = Node.mid_of_meth owner m in
               push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj fragment);
-              note_ret (Node.N_ret tmid);
               let created = Graph.views_of g (Node.N_ret tmid) in
               List.iter
                 (fun parent ->
@@ -509,7 +460,6 @@ let apply_op state ?(note_ret = fun (_ : Node.t) -> ()) (op : Graph.op) =
                   | Some (param, _) ->
                       push_value state (Node.N_var (tmid, param)) (Node.V_view view)
                   | None -> ());
-                  note_ret (Node.N_ret tmid);
                   List.iter
                     (fun child -> mark state (Graph.add_child g ~parent:view ~child))
                     (Graph.views_of g (Node.N_ret tmid))
@@ -586,35 +536,14 @@ let apply_declarative_handlers state =
         (fun root ->
           Graph.View_set.iter
             (fun view -> register_declarative state holder view)
-            (state.descend ~include_self:true root))
+            (Graph.descendants g ~include_self:true root))
         (Graph.roots_of_holder g holder))
     (Graph.holders g)
-
-(* Same registrations, driven from the views that actually carry a
-   handler: [view] sits in [holder]'s hierarchy iff some root of
-   [holder] is a (reflexive) ancestor of [view].  Avoids walking whole
-   hierarchies when almost no view declares an onClick. *)
-let apply_declarative_handlers_indexed state =
-  let g = state.graph in
-  let holders = Graph.holders g in
-  List.iter
-    (fun view ->
-      let above = Graph.ancestors g view in
-      List.iter
-        (fun holder ->
-          let reaches =
-            Graph.View_set.exists
-              (fun root -> Graph.View_set.mem root above)
-              (Graph.roots_of_holder g holder)
-          in
-          if reaches then register_declarative state holder view)
-        holders)
-    (Graph.views_with_onclick g)
 
 (* Declaratively placed fragments (<fragment android:name="F"/>): the
    platform instantiates F during inflation and attaches the views
    returned by F.onCreateView under the placeholder node. *)
-let apply_declared_fragments state ?(note_ret = fun (_ : Node.t) -> ()) () =
+let apply_declared_fragments state =
   let g = state.graph in
   let hierarchy = state.app.Framework.App.hierarchy in
   List.iter
@@ -631,7 +560,6 @@ let apply_declared_fragments state ?(note_ret = fun (_ : Node.t) -> ()) () =
                   let fragment = Node.declared_fragment_site cls infl in
                   let tmid = Node.mid_of_meth owner m in
                   push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj fragment);
-                  note_ret (Node.N_ret tmid);
                   List.iter
                     (fun child -> mark state (Graph.add_child g ~parent:view ~child))
                     (Graph.views_of g (Node.N_ret tmid))
@@ -662,7 +590,7 @@ let run_naive state =
         apply_op state op)
       ops;
     apply_declarative_handlers state;
-    apply_declared_fragments state ();
+    apply_declared_fragments state;
     propagate_full state;
     continue_ := state.dirty
   done;
@@ -670,81 +598,13 @@ let run_naive state =
     Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
   !iterations
 
-(* Scheduling targets for dynamically-registered [N_ret] reads. *)
-type ret_target = T_op of Graph.op | T_frags
-
-let ret_target_equal a b =
-  match (a, b) with T_frags, T_frags -> true | T_op x, T_op y -> x == y | _ -> false
-
-(* Semi-naive fixed point: after seeding, every op runs once; from then
-   on an op is re-applied only when a location it reads grew (dependency
-   index + delta propagation) or a relation it consults changed.  Ops
-   still read full sets when applied, so the solution is identical to
-   the naive solver's. *)
-let run_delta state =
-  let g = state.graph in
-  Graph.set_track_deltas g true;
-  let op_wl = Util.Worklist.create () in
-  let schedule op = Util.Worklist.add op_wl op in
-  let pending_decl = ref true in
-  let pending_frags = ref true in
-  let ret_deps : (Node.t, ret_target list) Hashtbl.t = Hashtbl.create 16 in
-  let note_ret target node =
-    let existing = Option.value (Hashtbl.find_opt ret_deps node) ~default:[] in
-    if not (List.exists (ret_target_equal target) existing) then
-      Hashtbl.replace ret_deps node (target :: existing)
-  in
-  let on_changed node =
-    List.iter schedule (Graph.ops_reading g node);
-    match Hashtbl.find_opt ret_deps node with
-    | Some targets ->
-        List.iter
-          (function T_op op -> schedule op | T_frags -> pending_frags := true)
-          targets
-    | None -> ()
-  in
-  seed_and_count state;
-  propagate_delta state ~changed:on_changed;
-  List.iter schedule (Graph.ops g);
-  let iterations = ref 0 in
-  let work_remaining () =
-    (not (Util.Worklist.is_empty op_wl)) || !pending_decl || !pending_frags
-  in
-  while work_remaining () && !iterations < state.config.Config.max_iterations do
-    incr iterations;
-    Util.Worklist.drain op_wl (fun op ->
-        state.op_applications <- state.op_applications + 1;
-        apply_op state ~note_ret:(fun node -> note_ret (T_op op) node) op);
-    if !pending_decl then begin
-      pending_decl := false;
-      apply_declarative_handlers_indexed state
-    end;
-    if !pending_frags then begin
-      pending_frags := false;
-      apply_declared_fragments state ~note_ret:(note_ret T_frags) ()
-    end;
-    propagate_delta state ~changed:on_changed;
-    let rc = Graph.take_rel_changes g in
-    if rc.rc_children then begin
-      List.iter schedule (Graph.ops_reading_children g);
-      (* hierarchy growth can place an onClick view under a new root *)
-      pending_decl := true
-    end;
-    if rc.rc_ids then List.iter schedule (Graph.ops_reading_ids g);
-    if rc.rc_roots then begin
-      List.iter schedule (Graph.ops_reading_roots g);
-      pending_decl := true
-    end;
-    if rc.rc_onclick then pending_decl := true;
-    if rc.rc_fragments then pending_frags := true
-  done;
-  if work_remaining () then
-    Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
-  !iterations
-
 (* ------------------------------------------------------------------ *)
-(* Interned engine: the same semi-naive fixed point as [run_delta],
-   computed over dense integer ids.  Every location, abstract value,
+(* Interned engine: the fixed point of [run_naive], computed
+   semi-naively over dense integer ids.  After seeding, every op runs
+   once; from then on an op is re-applied only when a location it
+   reads grew or a relation it consults changed.  Ops still read full
+   sets when applied, so the solution is identical to the naive
+   solver's.  Every location, abstract value,
    view, listener entry and holder is hash-consed ([Intern]) when first
    seen; solution sets, delta sets and the view relations become
    [Util.Bitset] over those ids, and the (static) flow edges are frozen
@@ -836,9 +696,7 @@ type istate = {
   (* view relations on ids *)
   ichildren : Slots.t;
   iparents : Slots.t;
-  idesc_cache : (int, Util.Bitset.t) Hashtbl.t;  (** strict descendant closures *)
-  mutable idesc_hits : int;
-  mutable idesc_misses : int;
+  idesc_memo : (int, Util.Bitset.t) Hashtbl.t;  (** strict descendant closures *)
   iids : Slots.t;  (** view id -> rid syms *)
   iby_id : Slots.t;  (** rid sym -> view ids *)
   iroots : Slots.t;  (** holder id -> root view ids *)
@@ -869,7 +727,6 @@ type istate = {
   itouched_children : Util.Bitset.t;  (** relation rows written during a warm solve *)
   itouched_parents : Util.Bitset.t;
   itouched_ids : Util.Bitset.t;
-  itouched_by_id : Util.Bitset.t;
   itouched_roots : Util.Bitset.t;
   itouched_listeners : Util.Bitset.t;
   (* write recording: while an op (or the declarative/fragment pseudo
@@ -882,7 +739,6 @@ type istate = {
   (* counters *)
   mutable ipropagations : int;
   mutable iop_applications : int;
-  mutable idelta_pushes : int;
   mutable iunion_calls : int;
 }
 
@@ -978,10 +834,15 @@ let cast_passes st sym vid =
       Bytes.set memo vid (if ok then '\001' else '\002');
       ok
 
-(* Mirror of [propagate_delta] on ids, over the SCC-condensed CSR: the
-   worklist carries component representatives only (every enqueue goes
-   through [ipush]/[irep]), and direct edges inside a component were
-   dropped at freeze time — the shared bitset IS their fixpoint.
+(* Semi-naive propagation: each drained node pushes only its delta (the
+   values that arrived since its last drain).  Sound because flow edges
+   are static during solving, so every (value, edge) pair is attempted
+   exactly once; [changed] fires for every node whose set grew, letting
+   the caller schedule the ops reading it.  Runs over the SCC-condensed
+   CSR: the worklist carries component representatives only (every
+   enqueue goes through [ipush]/[irep]), and direct edges inside a
+   component were dropped at freeze time — the shared bitset IS their
+   fixpoint.
    Direct inter-component edges merge whole delta words; cast edges
    filter per value through the per-sym memo.  [cdst] entries are
    already representatives, so pushes stay in rep space. *)
@@ -997,12 +858,10 @@ let ipropagate st ~changed =
     | Some d ->
         (if rid < st.csr_n then begin
            let hi = st.crow.(rid + 1) in
-           let dcard = Util.Bitset.cardinal d in
            for e = st.crow.(rid) to hi - 1 do
              let dst = st.cdst.(e) in
              let k = st.ckind.(e) in
              if k < 0 then begin
-               st.idelta_pushes <- st.idelta_pushes + dcard;
                st.iunion_calls <- st.iunion_calls + 1;
                let into = Slots.get st.sols dst in
                if st.iwarm then ignore (Util.Bitset.add st.icreated dst);
@@ -1026,9 +885,7 @@ let ipropagate st ~changed =
              end
              else
                Util.Bitset.iter
-                 (fun vid ->
-                   st.idelta_pushes <- st.idelta_pushes + 1;
-                   if cast_passes st k vid then ipush st dst vid)
+                 (fun vid -> if cast_passes st k vid then ipush st dst vid)
                  d
            done
          end);
@@ -1064,22 +921,21 @@ let istrict_descendants st wid =
   done;
   visited
 
-let idesc_cached st wid =
-  match Hashtbl.find_opt st.idesc_cache wid with
-  | Some s ->
-      st.idesc_hits <- st.idesc_hits + 1;
-      s
+(* Memoized [istrict_descendants]; [iadd_child] drops the entries of
+   the new edge's ancestors. *)
+let idescendants st wid =
+  match Hashtbl.find_opt st.idesc_memo wid with
+  | Some s -> s
   | None ->
-      st.idesc_misses <- st.idesc_misses + 1;
       let s = istrict_descendants st wid in
-      Hashtbl.replace st.idesc_cache wid s;
+      Hashtbl.replace st.idesc_memo wid s;
       s
 
 (* Insert [v] into relation row [i], copy-on-write under a warm solve:
    a borrowed row (aliased from the previous solution) is copied before
-   it grows, and every row modified while warm is marked touched so the
-   warm materialisation re-installs exactly those rows. *)
-let rel_add st slots bor touched i v =
+   it grows, and every row modified while warm is marked [touched] so
+   the warm materialisation re-installs exactly those rows. *)
+let rel_add st slots bor ?touched i v =
   match Slots.find slots i with
   | Some b when Util.Bitset.mem b v -> false
   | existing ->
@@ -1093,31 +949,31 @@ let rel_add st slots bor touched i v =
         | Some b -> b
         | None -> Slots.get slots i
       in
-      if st.iwarm then ignore (Util.Bitset.add touched i);
+      if st.iwarm then Option.iter (fun t -> ignore (Util.Bitset.add t i)) touched;
       Util.Bitset.add b v
 
 let iadd_child st ~parent ~child =
-  let grew = rel_add st st.ichildren st.ibor_children st.itouched_children parent child in
+  let grew = rel_add st st.ichildren st.ibor_children ~touched:st.itouched_children parent child in
   if grew then begin
-    ignore (rel_add st st.iparents st.ibor_parents st.itouched_parents child parent);
+    ignore (rel_add st st.iparents st.ibor_parents ~touched:st.itouched_parents child parent);
     st.irc_children <- true;
-    if Hashtbl.length st.idesc_cache > 0 then
-      Util.Bitset.iter (fun v -> Hashtbl.remove st.idesc_cache v) (iancestors st parent)
+    if Hashtbl.length st.idesc_memo > 0 then
+      Util.Bitset.iter (fun v -> Hashtbl.remove st.idesc_memo v) (iancestors st parent)
   end
 
 let iadd_view_id st wid raw =
   let sym = Intern.rid st.it raw in
-  if rel_add st st.iids st.ibor_ids st.itouched_ids wid sym then begin
-    ignore (rel_add st st.iby_id st.ibor_by_id st.itouched_by_id sym wid);
+  if rel_add st st.iids st.ibor_ids ~touched:st.itouched_ids wid sym then begin
+    ignore (rel_add st st.iby_id st.ibor_by_id sym wid);
     st.irc_ids <- true
   end
 
 let iadd_holder_root st hid root =
   if Util.Bitset.add st.iholders_seen hid then st.iholder_ids <- hid :: st.iholder_ids;
-  if rel_add st st.iroots st.ibor_roots st.itouched_roots hid root then st.irc_roots <- true
+  if rel_add st st.iroots st.ibor_roots ~touched:st.itouched_roots hid root then st.irc_roots <- true
 
 let iadd_view_listener st wid entry =
-  ignore (rel_add st st.ilisteners st.ibor_listeners st.itouched_listeners wid entry)
+  ignore (rel_add st st.ilisteners st.ibor_listeners ~touched:st.itouched_listeners wid entry)
 
 (* Value decoders over a location's solution set. *)
 
@@ -1261,7 +1117,7 @@ let iinject_handler_flows st wid listener iface =
    [None] when the queried raw id was never interned (no carrier) —
    the query can still resolve through ⊤-sentinel rows below. *)
 let ifind st root sym f =
-  let strict = idesc_cached st root in
+  let strict = idescendants st root in
   let walk s =
     match Slots.find st.iby_id s with
     | None -> ()
@@ -1277,7 +1133,7 @@ let ifind st root sym f =
 
 (* find(view, ⊤): every view in scope carrying at least one id. *)
 let ifind_any_id st root f =
-  let strict = idesc_cached st root in
+  let strict = idescendants st root in
   let visit w =
     match Slots.find st.iids w with
     | Some ids when not (Util.Bitset.is_empty ids) -> f w
@@ -1398,7 +1254,7 @@ let iapply_op st ~note_ret oi =
               | None -> ()
               | Some cs -> Util.Bitset.iter out_view cs)
           | Framework.Api.Children | Framework.Api.Descendants ->
-              Util.Bitset.iter out_view (idesc_cached st v))
+              Util.Bitset.iter out_view (idescendants st v))
         (iviews_at st recv)
   | Framework.Api.Get_parent ->
       List.iter
@@ -1721,9 +1577,7 @@ let ifreeze config app graph =
     roots_readers = List.rev !roots_readers;
     ichildren = Slots.create ();
     iparents = Slots.create ();
-    idesc_cache = Hashtbl.create 64;
-    idesc_hits = 0;
-    idesc_misses = 0;
+    idesc_memo = Hashtbl.create 64;
     iids = Slots.create ();
     iby_id = Slots.create ();
     iroots = Slots.create ();
@@ -1746,14 +1600,12 @@ let ifreeze config app graph =
     itouched_children = Util.Bitset.create ();
     itouched_parents = Util.Bitset.create ();
     itouched_ids = Util.Bitset.create ();
-    itouched_by_id = Util.Bitset.create ();
     itouched_roots = Util.Bitset.create ();
     itouched_listeners = Util.Bitset.create ();
     irec_writer = -1;
     irec_targets = Array.init (Array.length iops + 2) (fun _ -> Util.Bitset.create ());
     ipropagations = 0;
     iop_applications = 0;
-    idelta_pushes = 0;
     iunion_calls = 0;
   }
 
@@ -1780,8 +1632,8 @@ let idecoder it =
         vs
 
 (* Write the final id-level solution back into the graph's structural
-   tables so every downstream consumer sees exactly what the structural
-   engines would have produced. *)
+   tables so every downstream consumer sees exactly what the naive
+   engine would have produced. *)
 let imaterialize st =
   let g = st.igraph in
   let it = st.it in
@@ -1812,9 +1664,6 @@ let imaterialize st =
               (fun sym acc -> Graph.Int_set.add (Intern.rid_of it sym) acc)
               b Graph.Int_set.empty)))
     st.iids;
-  Slots.iteri
-    (non_empty (fun sym b -> Graph.install_views_by_id g (Intern.rid_of it sym) (view_set b)))
-    st.iby_id;
   Slots.iteri
     (non_empty (fun hid b -> Graph.install_roots g (Intern.holder_of it hid) (view_set b)))
     st.iroots;
@@ -1929,9 +1778,6 @@ let istats st ~iterations ~warm_solve ~dirty_comps ~reused_comps ~fallback =
     iterations;
     propagations = st.ipropagations;
     op_applications = st.iop_applications;
-    delta_pushes = st.idelta_pushes;
-    desc_cache_hits = st.idesc_hits;
-    desc_cache_misses = st.idesc_misses;
     interned_values = Intern.value_count st.it;
     interned_nodes = Intern.node_count st.it;
     bitset_words = Slots.total_words st.sols;
@@ -2296,7 +2142,7 @@ let icapture st ?carry_map ?fps ?seeds ?reuse_ops ~config ~(app : Framework.App.
    A second plane over the solution: value [v] at node [n] is tainted
    when its presence may depend on how an unknown-id marker resolves.
    Solving never branches on taint, so it is derivable from the solved
-   tables — one shared post-pass run identically after all three
+   tables — one shared post-pass run identically after both
    engines, which makes cross-engine bit-identity of the plane trivial,
    keeps the warm-solve machinery entirely taint-free (⊤ graphs refuse
    warm starts; see [warm_guard]), and costs nothing on ⊤-free apps
@@ -2329,7 +2175,7 @@ let compute_taints (app : Framework.App.t) graph =
     let hierarchy = app.Framework.App.hierarchy in
     let package = app.Framework.App.package in
     let n = Intern.node_count it in
-    (* The structural engines solve some nodes without ever interning
+    (* The naive engine solves some nodes without ever interning
        them (handler params injected by value, not by edge); the lift
        rule must still see their sets, so append them after the
        CSR-addressable prefix.  They have no flow edges and no op
@@ -2596,8 +2442,6 @@ let imaterialize_warm st ~prev ~dirty ~children_cleared ~ids_cleared ~roots_clea
         (Util.Bitset.fold
            (fun sym acc -> Graph.Int_set.add (Intern.rid_of it sym) acc)
            b Graph.Int_set.empty));
-  fixup ids_cleared st.itouched_by_id st.iby_id (fun sym b ->
-      Graph.install_views_by_id g (Intern.rid_of it sym) (view_set b));
   fixup roots_cleared st.itouched_roots st.iroots (fun hid b ->
       Graph.install_roots g (Intern.holder_of it hid) (view_set b));
   fixup listeners_cleared st.itouched_listeners st.ilisteners (fun wid b ->
@@ -2967,38 +2811,24 @@ let run config (app : Framework.App.t) graph =
       let stats = run_interned config app graph in
       compute_taints app graph;
       stats
-  | (Config.Naive | Config.Delta) as solver ->
-      let descend =
-        match solver with
-        | Config.Naive -> fun ~include_self view -> Graph.descendants graph ~include_self view
-        | _ -> fun ~include_self view -> Graph.descendants_cached graph ~include_self view
-      in
+  | Config.Naive ->
       let state =
         {
           config;
           app;
           graph;
           worklist = Util.Worklist.create ();
-          descend;
-          indexed_find = (solver = Config.Delta);
           propagations = 0;
           op_applications = 0;
-          delta_pushes = 0;
           dirty = false;
         }
       in
-      let iterations =
-        match solver with Config.Naive -> run_naive state | _ -> run_delta state
-      in
+      let iterations = run_naive state in
       compute_taints app graph;
-      let desc_cache_hits, desc_cache_misses = Graph.desc_cache_counters graph in
       {
         iterations;
         propagations = state.propagations;
         op_applications = state.op_applications;
-        delta_pushes = state.delta_pushes;
-        desc_cache_hits;
-        desc_cache_misses;
         interned_values = 0;
         interned_nodes = 0;
         bitset_words = 0;

@@ -183,8 +183,7 @@ let solver_stats results =
   let header =
     [
       "App"; "solver"; "mode"; "ops"; "rounds"; "op applies"; "naive equiv"; "saved";
-      "propagations"; "delta pushes"; "desc cache"; "values"; "set words"; "unions"; "sccs";
-      "max scc"; "ctxs"; "ctx keys";
+      "propagations"; "values"; "set words"; "unions"; "sccs"; "max scc"; "ctxs"; "ctx keys";
     ]
   in
   let rows =
@@ -219,8 +218,6 @@ let solver_stats results =
               Table.cell_int s.sv_naive_equivalent;
               saved;
               Table.cell_int s.sv_propagations;
-              Table.cell_int s.sv_delta_pushes;
-              Printf.sprintf "%d/%d" s.sv_desc_hits (s.sv_desc_hits + s.sv_desc_misses);
               (if s.sv_interned_values = 0 then "-" else Table.cell_int s.sv_interned_values);
               (if s.sv_bitset_words = 0 then "-" else Table.cell_int s.sv_bitset_words);
               (if s.sv_union_calls = 0 then "-" else Table.cell_int s.sv_union_calls);
@@ -231,7 +228,7 @@ let solver_stats results =
             ])
       results
   in
-  "Solver work: delta scheduling vs naive re-iteration (naive equiv = rounds * |ops|; mode: \
+  "Solver work: interned scheduling vs naive re-iteration (naive equiv = rounds * |ops|; mode: \
    warm dirty/reused components for incremental solves, \"-\" for cold)\n"
   ^ Table.render ~header rows
 

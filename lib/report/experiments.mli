@@ -79,8 +79,8 @@ val table2 : ?timings:bool -> corpus_result list -> string
 
 val solver_stats : corpus_result list -> string
 (** Beyond-paper: solver work counters (op applications vs the naive
-    [rounds * |ops|] equivalent, delta pushes, descendants-cache hit
-    rate) for each run. *)
+    [rounds * |ops|] equivalent, propagations, interner and SCC
+    counters) for each run. *)
 
 val case_study : unit -> string
 (** Section 5 case study: static averages vs the dynamic-oracle

@@ -19,7 +19,7 @@ let () =
       ("extract", Test_extract.suite);
       ("inflate", Test_inflate.suite);
       ("solve", Test_solve.suite);
-      ("delta", Test_delta.suite);
+      ("engines", Test_engines.suite);
       ("intern", Test_intern.suite);
       ("shared-intern", Test_shared_intern.suite);
       ("ctx-keyed", Test_ctx_keyed.suite);

@@ -290,6 +290,39 @@ let test_snapshot_pre_split_compat () =
       Alcotest.check Alcotest.bool "reason names the field" true (contains ~sub:"shared_intern" e)
   | Ok _ -> Alcotest.fail "malformed shared_intern accepted"
 
+(* Snapshots written while a third, structural semi-naive engine
+   existed may carry ["solver": "delta"].  That engine computed the
+   interned engine's solution, so the codec decodes the field as
+   [Interned]: the document loads, and the warm guard accepts it under
+   today's default configuration. *)
+let test_snapshot_retired_solver () =
+  let app = inc_app () in
+  let _, solved = Incremental.analyze_solved app in
+  let retired = function
+    | "config", Util.Json.Obj cfields ->
+        ( "config",
+          Util.Json.Obj
+            (List.map
+               (function "solver", _ -> ("solver", Util.Json.String "delta") | f -> f)
+               cfields) )
+    | f -> f
+  in
+  let doc =
+    match Snapshot.to_json solved with
+    | Util.Json.Obj fields -> Util.Json.Obj (List.map retired fields)
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  match Snapshot.of_json doc with
+  | Error e -> Alcotest.failf "retired-solver snapshot refused: %s" e
+  | Ok loaded ->
+      Alcotest.check Alcotest.string "decoded solver" "interned"
+        (Config.solver_name (Solve.solved_config loaded).Config.solver);
+      let graph = Extract.run ~interner:(Solve.solved_interner loaded) Config.default app in
+      Alcotest.check
+        Alcotest.(option string)
+        "warm guard accepts" None
+        (Solve.warm_guard loaded Config.default app graph)
+
 (* Context-keyed context sensitivity and warm starts: clone
    constraints live only in the id-level stores, so the structural
    shape diff cannot see them and the warm guard must refuse — the
@@ -429,6 +462,7 @@ let suite =
     Alcotest.test_case "snapshot corrupt input" `Quick test_snapshot_corrupt;
     Alcotest.test_case "snapshot stale version" `Quick test_snapshot_stale_version;
     Alcotest.test_case "snapshot pre-split compatibility" `Quick test_snapshot_pre_split_compat;
+    Alcotest.test_case "snapshot from the retired delta solver" `Quick test_snapshot_retired_solver;
     Alcotest.test_case "fallback surfaced in stats" `Quick test_fallback_surfaced;
     Alcotest.test_case "context-keyed cs falls back" `Quick test_ctx_keyed_falls_back;
     QCheck_alcotest.to_alcotest qcheck_warm_equals_cold;

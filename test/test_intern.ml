@@ -4,7 +4,7 @@
    ([Util.Interner], the substrate's substrate) must be idempotent and
    round-trip; the hash-consing [Intern] pools must assign dense ids
    that round-trip; and the interned engine must produce the same
-   solution as both structural engines — on random apps, on the
+   solution as the naive engine — on random apps, on the
    corpus, and under a worker-domain pool — down to byte-identical
    reports.  (The shared frozen tier has its own differential suite in
    [test_shared_intern.ml].) *)
@@ -170,32 +170,27 @@ let test_interner_roundtrip () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Engine differential: naive = delta = interned *)
+(* Engine differential: naive = interned *)
 
-let engines = [ Config.Naive; Config.Delta; Config.Interned ]
+let engines = [ Config.Naive; Config.Interned ]
 
 let analyze_with solver app = Analysis.analyze ~config:(with_solver solver Config.default) app
 
-let check_three name app =
+let check_engines name app =
   let reference = analyze_with Config.Naive app in
-  List.iter
-    (fun solver ->
-      let candidate = analyze_with solver app in
-      Test_delta.check_same_solution
-        (Printf.sprintf "%s[naive vs %s]" name (Config.solver_name solver))
-        reference candidate)
-    engines;
+  Test_engines.check_same_solution (name ^ "[naive vs interned]") reference
+    (analyze_with Config.Interned app);
   reference
 
-let test_connectbot_three_engines () =
+let test_connectbot_engines () =
   let app = Corpus.Connectbot.app () in
-  ignore (check_three "ConnectBot" app);
+  ignore (check_engines "ConnectBot" app);
   (* ablation configs flow through the interned engine too *)
   List.iter
     (fun config ->
       let naive = Analysis.analyze ~config:(with_solver Config.Naive config) app in
       let interned = Analysis.analyze ~config:(with_solver Config.Interned config) app in
-      Test_delta.check_same_solution "ConnectBot ablation" naive interned)
+      Test_engines.check_same_solution "ConnectBot ablation" naive interned)
     [
       Config.baseline;
       { Config.default with listener_callbacks = false };
@@ -210,22 +205,18 @@ let test_interned_work_counters () =
   Alcotest.check Alcotest.bool "values interned" true (s.Solve.interned_values > 0);
   Alcotest.check Alcotest.bool "nodes interned" true (s.Solve.interned_nodes > 0);
   Alcotest.check Alcotest.bool "bitset words allocated" true (s.Solve.bitset_words > 0);
-  Alcotest.check Alcotest.bool "word-level unions performed" true (s.Solve.union_calls > 0);
-  (* structural engines must report zeroed interner counters *)
-  let d = analyze_with Config.Delta app in
-  Alcotest.check Alcotest.int "delta reports no interner work" 0
-    (d.stats.Solve.interned_values + d.stats.Solve.bitset_words + d.stats.Solve.union_calls)
+  Alcotest.check Alcotest.bool "word-level unions performed" true (s.Solve.union_calls > 0)
 
-let test_qcheck_three_engines =
-  QCheck.Test.make ~count:10 ~name:"random app: naive = delta = interned"
+let test_qcheck_engines =
+  QCheck.Test.make ~count:10 ~name:"random app: naive = interned"
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Util.Prng.create seed in
       let spec = Corpus.Gen.random_spec ~name:(Printf.sprintf "QIntern_%d" seed) rng in
-      ignore (check_three spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec));
+      ignore (check_engines spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec));
       true)
 
-(* Corpus through all three engines: the solutions must render to
+(* Corpus through both engines: the solutions must render to
    byte-identical tables (solver identity only shows up in the solver
    column of the work-counter report), sequentially and with jobs=4. *)
 let test_corpus_reports_identical () =
@@ -264,12 +255,12 @@ let test_bitset_same () =
   Alcotest.check Alcotest.bool "copy is not same" false (Util.Bitset.same a copy);
   Alcotest.check Alcotest.bool "copy is still equal" true (Util.Bitset.equal a copy)
 
-let test_cyclic_three_engines () =
+let test_cyclic_engines () =
   let app =
     Corpus.Gen.cyclic_app ~name:"CycBig" ~chains:3 ~chain_len:9 ~two_cycles:2 ~bridges:4 ~seed:41
       ()
   in
-  let reference = check_three "CycBig" app in
+  let reference = check_engines "CycBig" app in
   (* the rings actually carry abstract views: the listener registered
      on a ring variable reaches its SETLISTENER operation *)
   let setlistener_ops =
@@ -297,18 +288,18 @@ let test_scc_stats_and_midsolve_minting () =
   let fc = Graph.frozen_flow r.graph in
   Alcotest.check Alcotest.bool "nodes minted after freeze" true
     (s.Solve.interned_nodes > fc.Graph.fc_nodes);
-  (* structural engines report no condensation *)
-  let d = analyze_with Config.Delta app in
-  Alcotest.check Alcotest.int "delta reports no sccs" 0
-    (d.stats.Solve.scc_count + d.stats.Solve.largest_scc)
+  (* the naive engine reports no condensation *)
+  let n = analyze_with Config.Naive app in
+  Alcotest.check Alcotest.int "naive reports no sccs" 0
+    (n.stats.Solve.scc_count + n.stats.Solve.largest_scc)
 
-let test_qcheck_cyclic_three_engines =
-  QCheck.Test.make ~count:10 ~name:"cyclic app: naive = delta = interned"
+let test_qcheck_cyclic_engines =
+  QCheck.Test.make ~count:10 ~name:"cyclic app: naive = interned"
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Util.Prng.create seed in
       let app = Corpus.Gen.random_cyclic_app ~name:(Printf.sprintf "QCyc_%d" seed) rng in
-      ignore (check_three (Printf.sprintf "QCyc_%d" seed) app);
+      ignore (check_engines (Printf.sprintf "QCyc_%d" seed) app);
       true)
 
 (* Cycle-heavy batch under the worker pool: the condensed engine's
@@ -330,7 +321,7 @@ let test_cyclic_jobs () =
       in
       List.iteri
         (fun i outcome ->
-          Test_delta.check_same_solution
+          Test_engines.check_same_solution
             (Printf.sprintf "CycJ%d[jobs=%d]" i jobs)
             (List.nth references i) (Pool.value_exn outcome))
         outcomes)
@@ -349,13 +340,13 @@ let suite =
       test_string_interner_foreign_symbol;
     QCheck_alcotest.to_alcotest qcheck_string_interner_roundtrip;
     Alcotest.test_case "interner round-trip and dense ids" `Quick test_interner_roundtrip;
-    Alcotest.test_case "ConnectBot: three engines agree" `Quick test_connectbot_three_engines;
+    Alcotest.test_case "ConnectBot: both engines agree" `Quick test_connectbot_engines;
     Alcotest.test_case "interned work counters" `Quick test_interned_work_counters;
-    QCheck_alcotest.to_alcotest test_qcheck_three_engines;
-    Alcotest.test_case "cyclic app: three engines agree" `Quick test_cyclic_three_engines;
+    QCheck_alcotest.to_alcotest test_qcheck_engines;
+    Alcotest.test_case "cyclic app: both engines agree" `Quick test_cyclic_engines;
     Alcotest.test_case "cyclic app: scc stats and mid-solve minting" `Quick
       test_scc_stats_and_midsolve_minting;
-    QCheck_alcotest.to_alcotest test_qcheck_cyclic_three_engines;
+    QCheck_alcotest.to_alcotest test_qcheck_cyclic_engines;
     Alcotest.test_case "cyclic batch under pool (jobs 1/4)" `Slow test_cyclic_jobs;
     Alcotest.test_case "corpus reports byte-identical (jobs 1/4)" `Slow
       test_corpus_reports_identical;

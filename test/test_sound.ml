@@ -3,7 +3,7 @@
    The reflective family routes its content layout, a find-view id and
    a set-id id through unresolvable [R.layout.?] / [R.id.?] lookups.
    The battery checks the whole contract:
-   - all three engines agree bit-for-bit, including the imprecision
+   - both engines agree bit-for-bit, including the imprecision
      taint tables the shared post-pass installs;
    - the static solution covers EVERY concrete resolution of the
      reflective lookups (dynamic-oracle sweep over candidate layouts
@@ -16,8 +16,6 @@
    - solved state round-trips through the snapshot codec with taints,
      and warm starts refuse ⊤ state with a pinned reason. *)
 open Gator
-
-let engines = [ Config.Naive; Config.Delta; Config.Interned ]
 
 let with_solver solver = { Config.default with Config.solver }
 
@@ -45,20 +43,13 @@ let check_taints_equal name a b =
       Fmt.(Dump.list (pair Node.pp (Dump.list Node.pp_value)))
       tb
 
-let test_three_engines () =
+let test_engines_agree () =
   let app = refl_app () in
   let reference = Analysis.analyze ~config:(with_solver Config.Naive) app in
   Alcotest.(check bool) "⊤ markers detected" true (Graph.has_top reference.Analysis.graph);
-  List.iter
-    (fun solver ->
-      let candidate = Analysis.analyze ~config:(with_solver solver) app in
-      Test_delta.check_same_solution
-        (Printf.sprintf "reflective[naive vs %s]" (Config.solver_name solver))
-        reference candidate;
-      check_taints_equal
-        (Printf.sprintf "reflective taints[naive vs %s]" (Config.solver_name solver))
-        reference candidate)
-    engines
+  let candidate = Analysis.analyze ~config:(with_solver Config.Interned) app in
+  Test_engines.check_same_solution "reflective[naive vs interned]" reference candidate;
+  check_taints_equal "reflective taints[naive vs interned]" reference candidate
 
 (* Soundness anchor: sweep every candidate resolution of the ⊤
    lookups, replay the dynamic semantics, require full coverage. *)
@@ -167,7 +158,7 @@ let test_snapshot_roundtrip_and_warm_refusal () =
             warm-startable); ran a full solve")
         (Incremental.refusal_warning warm);
       (* the fallback still solved correctly *)
-      Test_delta.check_same_solution "⊤ fallback solution" r warm)
+      Test_engines.check_same_solution "⊤ fallback solution" r warm)
 
 let qcheck_random_reflective =
   QCheck.Test.make ~name:"random reflective apps: engines agree and stay sound" ~count:15
@@ -176,12 +167,9 @@ let qcheck_random_reflective =
       let rng = Util.Prng.create seed in
       let app = Corpus.Gen.random_reflective_app rng in
       let reference = Analysis.analyze ~config:(with_solver Config.Naive) app in
-      List.iter
-        (fun solver ->
-          let candidate = Analysis.analyze ~config:(with_solver solver) app in
-          Test_delta.check_same_solution "random reflective engines" reference candidate;
-          check_taints_equal "random reflective taints" reference candidate)
-        engines;
+      let candidate = Analysis.analyze ~config:(with_solver Config.Interned) app in
+      Test_engines.check_same_solution "random reflective engines" reference candidate;
+      check_taints_equal "random reflective taints" reference candidate;
       let c = Dynamic.Oracle.check reference (Dynamic.Interp.run app) in
       if not (Dynamic.Oracle.is_sound c) then
         QCheck.Test.fail_reportf "seed %d unsound: %s" seed
@@ -190,7 +178,7 @@ let qcheck_random_reflective =
 
 let suite =
   [
-    Alcotest.test_case "three engines agree on ⊤ apps (with taints)" `Quick test_three_engines;
+    Alcotest.test_case "engines agree on ⊤ apps (with taints)" `Quick test_engines_agree;
     Alcotest.test_case "sound mode covers every candidate resolution" `Quick test_oracle_superset;
     Alcotest.test_case "taint is a meaningful strict subset" `Quick test_taint_meaningful;
     Alcotest.test_case "concrete queries see the ⊤ sentinel" `Quick test_sentinel_concrete_queries;
