@@ -144,23 +144,15 @@ let tests () =
           fun () ->
             ignore (Gator.Solve.run Gator.Config.default xbmc xbmc_graph);
             Gator.Solve.run Gator.Config.default refl refl_graph));
-    (* Context sensitivity head to head, solve-only like the engine
-       rows above: both graphs denote the same solution, but only the
-       keyed extraction certifies which ids are context clones, so
-       only its solve can run clone-chain substitution before
-       condensing.  Read against analysis/interned(XBMC) for the
-       solve-time cost of depth 2; the full extract+solve cost is
-       tracked by ablation/context-sensitive-2 below. *)
+    (* Context sensitivity, solve-only like the engine rows above: the
+       keyed extraction certifies which ids are context clones, so the
+       solve runs clone-chain substitution before condensing.  Read
+       against analysis/interned(XBMC) for the solve-time cost of
+       depth 2; the full extract+solve cost is tracked by
+       ablation/context-sensitive-2 below. *)
     Test.make ~name:"analysis/cs2-interned(XBMC)"
       (Staged.stage
          (let config = { Gator.Config.default with inline_depth = 2 } in
-          let graph = Gator.Extract.run config xbmc in
-          fun () -> Gator.Solve.run config xbmc graph));
-    Test.make ~name:"analysis/cs2-inlined(XBMC)"
-      (Staged.stage
-         (let config =
-            { Gator.Config.default with inline_depth = 2; ctx_keyed = false }
-          in
           let graph = Gator.Extract.run config xbmc in
           fun () -> Gator.Solve.run config xbmc graph));
     (* Incremental re-analysis: cold solve-and-capture vs warm re-solve
@@ -217,11 +209,8 @@ let tests () =
       { Gator.Config.default with findone_refinement = false }
       xbmc;
     config_bench "ablation/baseline(XBMC)" Gator.Config.baseline xbmc;
-    (* pinned to the extraction-time inlining path so the row keeps
-       measuring the same work across commits; the context-keyed
-       default is tracked by analysis/cs2-interned above *)
     config_bench "ablation/context-sensitive-2(XBMC)"
-      { Gator.Config.default with inline_depth = 2; ctx_keyed = false }
+      { Gator.Config.default with inline_depth = 2 }
       xbmc;
   ]
 
@@ -445,31 +434,27 @@ let query_head_to_head () =
   print_newline ();
   (forward_seconds, cold_seconds, warm_seconds, List.length locations, stats, identical)
 
-(* Streaming ingestion head-to-head: the same generated stream driven
-   through [Experiments.run_stream] on the shared frozen interner tier
-   and again with per-app private interners (every task re-interns the
-   framework id vocabulary from scratch), at several job counts.  The
-   rows each run spills are compared order-normalized — tier choice
-   and schedule may never leak into results — and the apps-per-second
+(* Streaming ingestion: the same generated stream driven through
+   [Experiments.run_stream] at several job counts.  The rows each run
+   spills are compared order-normalized against the jobs-1 rows — the
+   schedule may never leak into results — and the apps-per-second
    figures land in BENCH_results.json as the [stream] series. *)
 let stream_head_to_head () =
   let apps = 600 and seed = 42 in
-  let shared_config = Gator.Config.default in
-  let private_config = { Gator.Config.default with shared_intern = false } in
-  let run config jobs =
+  let run jobs =
     let rows = ref [] in
     let t0 = Unix.gettimeofday () in
     ignore
-      (Report.Experiments.run_stream ~config ~jobs ~timings:false ~seed ~apps
+      (Report.Experiments.run_stream ~jobs ~timings:false ~seed ~apps
          ~emit:(fun row -> rows := row :: !rows)
          ());
     (Unix.gettimeofday () -. t0, List.sort compare !rows)
   in
-  let best_of n config jobs =
-    ignore (run config jobs);
+  let best_of n jobs =
+    ignore (run jobs);
     let best = ref infinity and rows = ref [] in
     for _ = 1 to n do
-      let seconds, r = run config jobs in
+      let seconds, r = run jobs in
       if seconds < !best then begin
         best := seconds;
         rows := r
@@ -477,25 +462,18 @@ let stream_head_to_head () =
     done;
     (!best, !rows)
   in
-  Printf.printf
-    "Streaming ingestion head-to-head (%d generated apps, shared vs private tier, best of 3):\n"
-    apps;
+  Printf.printf "Streaming ingestion (%d generated apps, best of 3):\n" apps;
+  let reference = ref [] in
   let entries =
     List.map
       (fun jobs ->
-        let shared_seconds, shared_rows = best_of 3 shared_config jobs in
-        let private_seconds, private_rows = best_of 3 private_config jobs in
-        let identical = shared_rows = private_rows in
-        Printf.printf
-          "  jobs=%d  shared %6.3f s (%6.1f apps/s)  private %6.3f s (%6.1f apps/s)  %.2fx  rows \
-           %s\n"
-          jobs shared_seconds
-          (float_of_int apps /. shared_seconds)
-          private_seconds
-          (float_of_int apps /. private_seconds)
-          (private_seconds /. shared_seconds)
+        let seconds, rows = best_of 3 jobs in
+        if jobs = 1 then reference := rows;
+        let identical = rows = !reference in
+        Printf.printf "  jobs=%d  %6.3f s (%6.1f apps/s)  rows %s\n" jobs seconds
+          (float_of_int apps /. seconds)
           (if identical then "identical" else "DIFFER");
-        (jobs, shared_seconds, private_seconds, identical))
+        (jobs, seconds, identical))
       [ 1; 4; 8 ]
   in
   print_newline ();
@@ -608,18 +586,13 @@ let write_json_results rows corpus_batch engines cyclic incremental queries stre
           let stream_apps, entries = stream in
           Util.Json.List
             (List.map
-               (fun (jobs, shared_seconds, private_seconds, identical) ->
+               (fun (jobs, seconds, identical) ->
                  Util.Json.Obj
                    [
                      ("jobs", Util.Json.Int jobs);
                      ("apps", Util.Json.Int stream_apps);
-                     ("shared_seconds", Util.Json.Float shared_seconds);
-                     ("private_seconds", Util.Json.Float private_seconds);
-                     ( "shared_apps_per_sec",
-                       Util.Json.Float (float_of_int stream_apps /. shared_seconds) );
-                     ( "private_apps_per_sec",
-                       Util.Json.Float (float_of_int stream_apps /. private_seconds) );
-                     ("shared_over_private", Util.Json.Float (private_seconds /. shared_seconds));
+                     ("seconds", Util.Json.Float seconds);
+                     ("apps_per_sec", Util.Json.Float (float_of_int stream_apps /. seconds));
                      ("rows_identical", Util.Json.Bool identical);
                    ])
                entries) );

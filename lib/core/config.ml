@@ -9,12 +9,8 @@ type t = {
   model_dialogs : bool;
   inline_depth : int;
   inline_body_limit : int;
-  ctx_keyed : bool;
   max_iterations : int;
   solver : solver;
-  jobs : int;
-  incremental : bool;
-  shared_intern : bool;
 }
 
 let default =
@@ -25,12 +21,8 @@ let default =
     model_dialogs = true;
     inline_depth = 0;
     inline_body_limit = 24;
-    ctx_keyed = true;
     max_iterations = 1000;
     solver = Interned;
-    jobs = 8;
-    incremental = false;
-    shared_intern = true;
   }
 
 let baseline =
@@ -41,10 +33,8 @@ let baseline =
     model_dialogs = false;
     inline_depth = 0;
     inline_body_limit = 24;
-    ctx_keyed = true;
     max_iterations = 1000;
     solver = Interned;
-    jobs = 8;
-    incremental = false;
-    shared_intern = true;
   }
+
+let context_keyed c = c.inline_depth > 0 && c.solver = Interned

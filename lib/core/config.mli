@@ -1,4 +1,9 @@
-(** Analysis configuration.
+(** Analysis configuration: the modelling choices that define which
+    fixed point is computed (Section 4.2 plus the refinements below),
+    the engine that computes it, and its safety valve.  Nothing here
+    is an operational knob: pool sizes live in {!Pool}
+    ([Pool.default_jobs]), and how an engine represents ids or clones
+    is derived, not configured.
 
     The defaults reproduce the paper's implementation (including the
     FINDVIEW3 children-only refinement it mentions employing); each
@@ -36,43 +41,14 @@ type t = {
           value flow.  [0] (the default) reproduces the paper's
           context-insensitive analysis; the paper's Section 5 notes
           context sensitivity as the cure for the XBMC receivers
-          outlier — see the ablation benches. *)
+          outlier — see the ablation benches.  How the clones are
+          built follows from [solver] (see {!context_keyed}). *)
   inline_body_limit : int;
       (** Bound on the body size (statement count) of callees eligible
           for context-sensitive separation; larger callees share their
           locals context-insensitively. *)
-  ctx_keyed : bool;
-      (** Run context sensitivity natively on the interned engine:
-          clone bodies are walked in id space (each ⟨variable, clone⟩
-          pair interned once, edges emitted id-level only) instead of
-          re-extracted as [$n]-suffixed program text.  Bit-identical to
-          the inlining path at every depth — the differential batteries
-          pin it — but skips the per-occurrence string mangling and
-          structural table writes.  Only the [Interned] solver honours
-          it; the naive engine always takes the inlining path.  [false]
-          forces inlining everywhere, for the equivalence oracle and the
-          bench head-to-head. *)
   max_iterations : int;  (** fixed-point safety valve *)
   solver : solver;  (** fixed-point engine; results are identical *)
-  jobs : int;
-      (** Cap on worker domains for batch (multi-app) drivers.  The
-          pool size defaults to [Domain.recommended_domain_count ()]
-          capped by this value; an explicit [--jobs N] on the batch
-          CLIs overrides both.  Single-app analysis never spawns
-          domains. *)
-  incremental : bool;
-      (** Drivers that own a state file (the CLI's [--incremental])
-          set this to request warm re-solves against a persisted
-          {!Solve.solved}.  The flag participates in the warm guard's
-          configuration equality, so a warm solution can never leak
-          into a non-incremental run's stats. *)
-  shared_intern : bool;
-      (** Build graphs over the process-wide frozen interner tier
-          ({!Intern.shared_tier}), so the framework resource
-          vocabulary is interned once instead of per task.  Results
-          are bit-identical either way (only id labels move); [false]
-          forces fully private interners, for the differential tests
-          and the bench head-to-head. *)
 }
 
 val default : t
@@ -80,3 +56,14 @@ val default : t
 val baseline : t
 (** Everything off — approximates a plain Andersen-style analysis with
     no Android modeling refinements. *)
+
+val context_keyed : t -> bool
+(** Whether extraction walks clone bodies in id space: exactly when
+    context sensitivity is on ([inline_depth > 0]) and the [Interned]
+    engine solves.  Keyed extraction interns each ⟨variable, clone⟩
+    pair once and emits clone edges at the id level only, instead of
+    re-extracting callee bodies as [$n]-suffixed program text; the
+    solution is bit-identical to the inlining path, which the naive
+    engine (the executable spec) always takes.  Keyed graphs keep
+    their clone constraints out of the structural tables, so the warm
+    guard refuses them as donors. *)

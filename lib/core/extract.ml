@@ -112,17 +112,18 @@ let call_info config hierarchy ~memo env ~depth ~stack recv name arity =
   in
   (app_targets, may_reach_platform, inlinable)
 
-(* Context-keyed clone expansion (Config.ctx_keyed, interned engine):
-   clone bodies are expanded in id space.  Each inlinable method is
-   compiled ONCE per extraction into an id-level template — statements
-   resolved to base node ids, CHA facts and the depth-independent part
-   of the inlining guard precomputed — and every context then replays
-   the template through {!Intern.ctx_node}, which mints exactly the
-   [$n]-renamed node the inlining path would build structurally.  A
-   replay costs packed-int cache probes instead of structural
-   interning, string concatenation, or hierarchy scans.  Statement
-   order, clone numbering, and the inlining guard are identical to the
-   structural walk below; the two paths must stay in lockstep. *)
+(* Context-keyed clone expansion ({!Config.context_keyed}: the
+   interned engine with context sensitivity on): clone bodies are
+   expanded in id space.  Each inlinable method is compiled ONCE per
+   extraction into an id-level template — statements resolved to base
+   node ids, CHA facts and the depth-independent part of the inlining
+   guard precomputed — and every context then replays the template
+   through {!Intern.ctx_node}, which mints exactly the [$n]-renamed
+   node the inlining path would build structurally.  A replay costs
+   packed-int cache probes instead of structural interning, string
+   concatenation, or hierarchy scans.  Statement order, clone
+   numbering, and the inlining guard are identical to the structural
+   walk below; the two paths must stay in lockstep. *)
 type kctx = {
   k_depth : int;  (** current inlining depth (>= 1 inside a clone) *)
   k_clone : int;  (** this clone's number; suffix is ["$" ^ k_clone] *)
@@ -514,30 +515,12 @@ let run ?interner config (app : Framework.App.t) =
      counter lives here rather than at module level so extractions
      running concurrently on separate domains cannot interleave. *)
   let clones = ref 0 in
-  let interner =
-    match interner with
-    | Some it -> it
-    | None ->
-        (* Fresh graphs sit on the frozen shared tier when the config
-           allows, so the resource vocabulary resolves by arithmetic
-           instead of being re-interned per task.  Donor interners
-           (incremental warm path) are passed through untouched. *)
-        if config.Config.shared_intern then Intern.create ~shared:(Intern.shared_tier ()) ()
-        else Intern.create ()
-  in
-  let graph = Graph.create ~interner () in
+  let graph = Graph.create ?interner () in
   (* Context-keyed clone expansion only pays off on the interned engine
      (the naive engine never reads the id-level stores), so the naive
-     solver always takes the inlining path regardless of the flag.  The
-     template cache is per-extraction: it captures base ids of this
-     graph's interner. *)
-  let keyed =
-    if
-      config.Config.ctx_keyed && config.Config.inline_depth > 0
-      && config.Config.solver = Config.Interned
-    then Some (Hashtbl.create 64 : tcache)
-    else None
-  in
+     solver always takes the inlining path.  The template cache is
+     per-extraction: it captures base ids of this graph's interner. *)
+  let keyed = if Config.context_keyed config then Some (Hashtbl.create 64 : tcache) else None in
   let memo = fresh_memo () in
   List.iter
     (fun (cls : Jir.Ast.cls) ->

@@ -7,27 +7,13 @@
    those ids, replacing structural [Set.Make] operations with bitset
    words ([Util.Bitset]).
 
-   Two tiers. An interner optionally sits on top of a frozen [shared]
-   tier holding the framework resource vocabulary — the layout/view id
-   windows every application draws its [R] constants from
-   ([Layouts.Resource.layout_base]/[view_base]).  Frozen entries own
-   the dense ids below a per-pool watermark and are immutable from
-   construction, so the single process-wide tier can be read from
-   every worker domain without locks; ids minted by the interner
-   itself start at the watermark.  Because the frozen windows are
-   contiguous integer ranges, a frozen hit is pure arithmetic (no
-   hashing), and a frozen miss costs one range check before the
-   private pool probe.
-
-   Determinism contract: private ids are assigned in first-intern
-   order, and the interned engine interns from deterministic sources
-   only (the ordered [Graph.locations] / [Graph.ops] lists and
-   solver-driven discovery, which is itself a deterministic function
-   of the graph).  The frozen tier is a constant, so its ids are
-   trivially stable.  Combined with the Pool's
-   apps-built-inside-tasks rule (private pools are never shared
-   across domains) this keeps counters and outputs byte-identical
-   across runs and across [--jobs] levels. *)
+   Determinism contract: ids are assigned in first-intern order, and
+   the interned engine interns from deterministic sources only (the
+   ordered [Graph.locations] / [Graph.ops] lists and solver-driven
+   discovery, which is itself a deterministic function of the graph).
+   Combined with the Pool's apps-built-inside-tasks rule (interners
+   are never shared across domains) this keeps counters and outputs
+   byte-identical across runs and across [--jobs] levels. *)
 
 module type KEY = sig
   type t
@@ -124,6 +110,16 @@ module Holder_pool = Pool (struct
   let dummy = Node.H_act ""
 end)
 
+module Rid_pool = Pool (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash = Hashtbl.hash
+
+  let dummy = 0
+end)
+
 (* Growable id->id map, [-1] = unset. *)
 type iarr = { mutable a : int array }
 
@@ -141,107 +137,15 @@ let iarr_set m i v =
   end;
   m.a.(i) <- v
 
-(* {2 The frozen shared tier}
-
-   Only values and resource ids have framework-level vocabulary worth
-   freezing: the [R]-constant windows are the same integers in every
-   application ([Layouts.Resource] assigns them sequentially from
-   fixed bases, exactly like the platform resource compiler).  Views,
-   nodes, listeners and holders are keyed by application-specific
-   sites (class names, allocation sites, method ids), so their
-   watermarks are always zero.  Framework *class* vocabulary (the view
-   hierarchy, listener interfaces) never reaches the interner as
-   standalone keys — it lives in the per-graph cast table — so there
-   is nothing to freeze for it here. *)
-
-type shared = {
-  sh_lbase : int;  (** first layout id covered *)
-  sh_lcount : int;
-  sh_vbase : int;  (** first view id covered *)
-  sh_vcount : int;
-  sh_values : Node.value array;
-      (** value decode table: ids [0 .. lcount+vcount-1] are the two
-          windows, then the two ⊤ markers *)
-  sh_rids : int array;  (** rid decode table: the windows, then the ⊤ sentinel raw id *)
-}
-
-(* The two ⊤ markers are part of the framework vocabulary too: every
-   application that parses [R.layout.?] / [R.id.?] interns the same
-   singleton values, so they sit in the frozen tier right after the
-   two windows (and the [-1] sentinel raw id joins the rid table at
-   the same offset).  Window arithmetic is untouched — the markers
-   live at fixed indices past both windows, so they can never collide
-   with a window entry no matter the window sizes. *)
-let make_shared ~layout_ids ~view_ids =
-  if layout_ids < 0 || view_ids < 0 then invalid_arg "Intern.make_shared: negative window";
-  let lbase = Layouts.Resource.layout_base and vbase = Layouts.Resource.view_base in
-  let total = layout_ids + view_ids in
-  let raw i = if i < layout_ids then lbase + i else vbase + (i - layout_ids) in
-  {
-    sh_lbase = lbase;
-    sh_lcount = layout_ids;
-    sh_vbase = vbase;
-    sh_vcount = view_ids;
-    sh_values =
-      Array.init (total + 2) (fun i ->
-          if i < layout_ids then Node.V_layout_id (raw i)
-          else if i < total then Node.V_view_id (raw i)
-          else if i = total then Node.V_layout_top
-          else Node.V_view_id_top);
-    sh_rids = Array.init (total + 1) (fun i -> if i < total then raw i else Node.top_view_id_raw);
-  }
-
-(* Sized to cover the resource tables of typical applications while
-   costing at most a few bitset words of id-space slack; apps with
-   bigger tables (Astrid, XBMC) spill into the private tier, which the
-   watermark-boundary tests rely on. *)
-let default_layout_window = 64
-
-let default_view_window = 192
-
-(* Built at module initialization — on the main domain, before any
-   worker domain can exist — and immutable from birth, so reads need
-   no synchronization. *)
-let global_shared = make_shared ~layout_ids:default_layout_window ~view_ids:default_view_window
-
-let shared_tier () = global_shared
-
-let shared_counts sh = (Array.length sh.sh_values, Array.length sh.sh_rids)
-
-(* Frozen lookups: the windows are contiguous, so membership is a
-   range check and the frozen id is arithmetic on the raw int. *)
-let shared_value_id sh (v : Node.value) =
-  match v with
-  | Node.V_layout_id n when n >= sh.sh_lbase && n - sh.sh_lbase < sh.sh_lcount -> n - sh.sh_lbase
-  | Node.V_view_id n when n >= sh.sh_vbase && n - sh.sh_vbase < sh.sh_vcount ->
-      sh.sh_lcount + (n - sh.sh_vbase)
-  | Node.V_layout_top -> sh.sh_lcount + sh.sh_vcount
-  | Node.V_view_id_top -> sh.sh_lcount + sh.sh_vcount + 1
-  | _ -> -1
-
-let shared_rid_sym sh raw =
-  if raw >= sh.sh_lbase && raw - sh.sh_lbase < sh.sh_lcount then raw - sh.sh_lbase
-  else if raw >= sh.sh_vbase && raw - sh.sh_vbase < sh.sh_vcount then
-    sh.sh_lcount + (raw - sh.sh_vbase)
-  else if raw = Node.top_view_id_raw then sh.sh_lcount + sh.sh_vcount
-  else -1
-
 type t = {
-  shared : shared option;
-  wm_values : int;  (** value ids below this decode in the frozen tier *)
-  wm_rids : int;  (** rid syms below this decode in the frozen tier *)
-  frozen_values : Node.value array;  (** [sh_values] of [shared], or [||] *)
-  frozen_rids : int array;  (** [sh_rids] of [shared], or [||] *)
   values : Value_pool.t;
   views : View_pool.t;
   nodes : Node_pool.t;
   listeners : Listener_pool.t;
   holders : Holder_pool.t;
+  rids : Rid_pool.t;  (** raw resource int <-> dense rid symbol *)
   value2view : iarr;  (** value id -> view id when the value is a [V_view], else -1 *)
   view2value : iarr;  (** view id -> id of its [V_view] wrapping (always set) *)
-  rid_fwd : (int, int) Hashtbl.t;  (** raw resource int -> dense rid sym (watermark included) *)
-  mutable rid_back : int array;  (** private tier, indexed by [sym - wm_rids] *)
-  mutable rid_local : int;  (** private rid count *)
   ctx_fwd : (int, int) Hashtbl.t;
       (** context dimension: packed ⟨base node id, ctx⟩ -> id of the
           context clone of the base node.  Clones live in the ordinary
@@ -253,56 +157,32 @@ type t = {
   ctx_seen : (int, unit) Hashtbl.t;  (** distinct contexts that minted at least one clone *)
 }
 
-let create ?shared () =
-  let wm_values, wm_rids, frozen_values, frozen_rids =
-    match shared with
-    | None -> (0, 0, [||], [||])
-    | Some sh ->
-        let vs, rs = shared_counts sh in
-        (vs, rs, sh.sh_values, sh.sh_rids)
-  in
+let create () =
   {
-    shared;
-    wm_values;
-    wm_rids;
-    frozen_values;
-    frozen_rids;
     values = Value_pool.create ();
     views = View_pool.create ();
     nodes = Node_pool.create ();
     listeners = Listener_pool.create ();
     holders = Holder_pool.create ();
+    rids = Rid_pool.create ();
     value2view = iarr_create ();
     view2value = iarr_create ();
-    rid_fwd = Hashtbl.create 64;
-    rid_back = Array.make 64 0;
-    rid_local = 0;
     ctx_fwd = Hashtbl.create 64;
     ctx_seen = Hashtbl.create 16;
   }
 
-let shared_of t = t.shared
-
-let watermarks t = (t.wm_values, t.wm_rids)
-
 (* Values and views intern each other: every view has a canonical
    [V_view] value and vice versa.  The pool entry is installed before
-   recursing, so the mutual call terminates by lookup.  Frozen values
-   are plain id constants, never [V_view], so the recursion only ever
-   touches the private tier; cross maps are keyed by watermarked
-   (global) ids. *)
+   recursing, so the mutual call terminates by lookup. *)
 let rec value t (v : Node.value) =
-  let fid = match t.shared with Some sh -> shared_value_id sh v | None -> -1 in
-  if fid >= 0 then fid
-  else
-    match Value_pool.find_opt t.values v with
-    | Some id -> t.wm_values + id
-    | None ->
-        let id = t.wm_values + Value_pool.add t.values v in
-        (match v with
-        | Node.V_view w -> iarr_set t.value2view id (view t w)
-        | _ -> ());
-        id
+  match Value_pool.find_opt t.values v with
+  | Some id -> id
+  | None ->
+      let id = Value_pool.add t.values v in
+      (match v with
+      | Node.V_view w -> iarr_set t.value2view id (view t w)
+      | _ -> ());
+      id
 
 and view t (w : Node.view_abs) =
   match View_pool.find_opt t.views w with
@@ -353,43 +233,18 @@ let ctx_node t ~base ~ctx =
    seen just because a client asked about an unknown node). *)
 let find_node t n = Node_pool.find_opt t.nodes n
 
-let find_value t v =
-  let fid = match t.shared with Some sh -> shared_value_id sh v | None -> -1 in
-  if fid >= 0 then Some fid
-  else Option.map (fun id -> t.wm_values + id) (Value_pool.find_opt t.values v)
+let find_value t v = Value_pool.find_opt t.values v
 
 let listener t entry = Listener_pool.intern t.listeners entry
 
 let holder t h = Holder_pool.intern t.holders h
 
-let rid t raw =
-  let fsym = match t.shared with Some sh -> shared_rid_sym sh raw | None -> -1 in
-  if fsym >= 0 then fsym
-  else
-    match Hashtbl.find_opt t.rid_fwd raw with
-    | Some sym -> sym
-    | None ->
-        let local = t.rid_local in
-        let n = Array.length t.rid_back in
-        if local >= n then begin
-          let back = Array.make (2 * n) 0 in
-          Array.blit t.rid_back 0 back 0 n;
-          t.rid_back <- back
-        end;
-        t.rid_back.(local) <- raw;
-        let sym = t.wm_rids + local in
-        Hashtbl.add t.rid_fwd raw sym;
-        t.rid_local <- local + 1;
-        sym
+let rid t raw = Rid_pool.intern t.rids raw
 
-let rid_opt t raw =
-  let fsym = match t.shared with Some sh -> shared_rid_sym sh raw | None -> -1 in
-  if fsym >= 0 then Some fsym else Hashtbl.find_opt t.rid_fwd raw
+let rid_opt t raw = Rid_pool.find_opt t.rids raw
 
-(* Decoders.  Ids below the watermark index the frozen tables
-   directly; everything else shifts down into the private pool. *)
-let value_of t id =
-  if id < t.wm_values then t.frozen_values.(id) else Value_pool.get t.values (id - t.wm_values)
+(* Decoders. *)
+let value_of t id = Value_pool.get t.values id
 
 let view_of t id = View_pool.get t.views id
 
@@ -399,16 +254,15 @@ let listener_of t id = Listener_pool.get t.listeners id
 
 let holder_of t id = Holder_pool.get t.holders id
 
-let rid_of t sym = if sym < t.wm_rids then t.frozen_rids.(sym) else t.rid_back.(sym - t.wm_rids)
+let rid_of t sym = Rid_pool.get t.rids sym
 
 (* Cross maps. *)
 let view_of_value_id t vid = iarr_get t.value2view vid
 
 let value_of_view_id t wid = iarr_get t.view2value wid
 
-(* Counters for [Solve.stats].  Totals span both tiers, keeping every
-   [0 .. count-1] materialization loop and snapshot dump decodable. *)
-let value_count t = t.wm_values + Value_pool.count t.values
+(* Counters for [Solve.stats]. *)
+let value_count t = Value_pool.count t.values
 
 let view_count t = View_pool.count t.views
 
@@ -418,7 +272,7 @@ let listener_count t = Listener_pool.count t.listeners
 
 let holder_count t = Holder_pool.count t.holders
 
-let rid_count t = t.wm_rids + t.rid_local
+let rid_count t = Rid_pool.count t.rids
 
 let ctx_count t = Hashtbl.length t.ctx_seen
 

@@ -7,83 +7,30 @@
     those ids, replacing structural [Set.Make] operations with bitset
     words ({!Util.Bitset}).
 
-    {b Two tiers.} An interner optionally sits on top of a frozen
-    {!shared} tier holding the framework resource vocabulary — the
-    layout/view id windows every application's [R] constants are drawn
-    from.  Frozen entries own the ids below a per-pool watermark and
-    are immutable from construction, so one process-wide tier
-    ({!shared_tier}) is read lock-free by every worker domain; ids the
-    interner mints itself start at the watermark.  Analysis results
-    are bit-identical whether a symbol resolves in the shared or the
-    private tier (the watermark only relabels ids, and everything
-    observable is materialized structurally); the differential
-    batteries in [test/test_shared_intern.ml] pin this.
+    One interner belongs to one graph (and to the solved states and
+    re-extractions that share its ids); nothing about it is global.
+    Every pool is a plain hash table plus a dense decode array.
 
-    Determinism contract: private ids are assigned in first-intern
-    order, and the interned engine interns from deterministic sources
-    only (the ordered [Graph.locations] / [Graph.ops] lists and
-    solver-driven discovery, which is itself a deterministic function
-    of the graph).  The frozen tier is a constant.  Combined with the
-    Pool's apps-built-inside-tasks rule (private pools are never
-    shared across domains) this keeps counters and outputs
+    Determinism contract: ids are assigned in first-intern order, and
+    the interned engine interns from deterministic sources only (the
+    ordered [Graph.locations] / [Graph.ops] lists and solver-driven
+    discovery, which is itself a deterministic function of the graph).
+    Combined with the Pool's apps-built-inside-tasks rule (interners
+    are never shared across domains) this keeps counters and outputs
     byte-identical across runs and across [--jobs] levels. *)
 
 type t
 
-(** {1 The frozen shared tier} *)
-
-type shared
-(** A frozen vocabulary tier: the contiguous layout-id and view-id
-    windows starting at {!Layouts.Resource.layout_base} /
-    [view_base], exposed both as value ids and as rid symbols, plus
-    the two ⊤ markers ([V_layout_top], [V_view_id_top]) and the
-    [Node.top_view_id_raw] rid sentinel at fixed indices past the
-    windows.  Immutable after construction — there is no code path
-    that writes it — hence safe to share across domains without
-    locks. *)
-
-val shared_tier : unit -> shared
-(** The process-wide tier, built once at module initialization (on
-    the main domain, before any worker domain can exist). *)
-
-val default_layout_window : int
-(** Layout ids covered by {!shared_tier}, counted from
-    [Layouts.Resource.layout_base]. *)
-
-val default_view_window : int
-(** View ids covered by {!shared_tier}, counted from
-    [Layouts.Resource.view_base].  Corpus apps with more view ids
-    (e.g. Astrid's 230) overflow into their private pools — the
-    watermark crossing the differential tests pin down. *)
-
-val make_shared : layout_ids:int -> view_ids:int -> shared
-(** A custom tier covering the first [layout_ids] layout ids and
-    [view_ids] view ids; for tests (watermark-boundary cases).
-    @raise Invalid_argument on negative window sizes. *)
-
-val shared_counts : shared -> int * int
-(** [(frozen value count, frozen rid count)] — the watermarks an
-    interner created over this tier starts minting at.  Constant for
-    a given tier; the no-write CI check pins it across a run. *)
-
-val create : ?shared:shared -> unit -> t
-(** A fresh interner; with [?shared], its private pools mint above
-    the tier's watermarks and lookups hit the frozen windows first. *)
-
-val shared_of : t -> shared option
-
-val watermarks : t -> int * int
-(** [(value watermark, rid watermark)]; [(0, 0)] without a shared
-    tier.  Ids below a watermark decode in the frozen tier. *)
+val create : unit -> t
+(** A fresh interner with empty pools. *)
 
 (** {1 Interning (minting)}
 
     Each call returns the dense id for the key, assigning the next id
-    on first sight — except keys covered by the frozen tier, which
-    resolve by arithmetic and never grow any pool.  Values and views
-    intern each other: interning a view also interns its canonical
-    [V_view] wrapping and vice versa, keeping the
-    {!view_of_value_id}/{!value_of_view_id} cross maps total. *)
+    on first sight.  Values and views intern each other: interning a
+    view also interns its canonical [V_view] wrapping and vice versa,
+    keeping the {!view_of_value_id}/{!value_of_view_id} cross maps
+    total. *)
 
 val value : t -> Node.value -> int
 
@@ -124,7 +71,7 @@ val rid_opt : t -> int -> int option
 (** {1 Decoders}
 
     Partial inverses of the interning functions; ids must have been
-    minted by this interner or lie below its watermarks. *)
+    minted by this interner. *)
 
 val value_of : t -> int -> Node.value
 
@@ -141,17 +88,14 @@ val rid_of : t -> int -> int
 (** {1 Cross maps} *)
 
 val view_of_value_id : t -> int -> int
-(** Value id -> view id when the value is a [V_view], else [-1]
-    (frozen values are id constants, never views). *)
+(** Value id -> view id when the value is a [V_view], else [-1]. *)
 
 val value_of_view_id : t -> int -> int
 (** View id -> id of its [V_view] wrapping (always set). *)
 
 (** {1 Counters} (for {!Solve.stats} and snapshot sizing)
 
-    Totals span both tiers: [value_count] counts the frozen window
-    plus private mints, so [0 .. count-1] enumeration loops and
-    snapshot dumps stay decodable. *)
+    Ids are dense, so [0 .. count-1] enumerates a pool. *)
 
 val value_count : t -> int
 

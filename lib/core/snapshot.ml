@@ -102,12 +102,8 @@ let jconfig (c : Config.t) =
       ("model_dialogs", J.Bool c.model_dialogs);
       ("inline_depth", J.Int c.inline_depth);
       ("inline_body_limit", J.Int c.inline_body_limit);
-      ("ctx_keyed", J.Bool c.ctx_keyed);
       ("max_iterations", J.Int c.max_iterations);
       ("solver", J.String (Config.solver_name c.solver));
-      ("jobs", J.Int c.jobs);
-      ("incremental", J.Bool c.incremental);
-      ("shared_intern", J.Bool c.shared_intern);
     ]
 
 let jints a = J.List (Array.to_list (Array.map (fun i -> J.Int i) a))
@@ -303,6 +299,10 @@ let dop_site = function
   | J.List [ s; k ] -> { Node.o_site = dsite s; o_kind = dkind k }
   | _ -> bad "bad op site"
 
+(* Unknown keys are ignored: documents written while the configuration
+   also carried operational knobs (interner tier, pool cap, clone
+   representation, an incremental flag) decode to the analysis fields
+   alone, so they stay loadable and warm-compatible. *)
 let dconfig j =
   let bool_field name = match dfield name j with J.Bool b -> b | _ -> bad "bad %s" name in
   {
@@ -312,16 +312,11 @@ let dconfig j =
     model_dialogs = bool_field "model_dialogs";
     inline_depth = dint (dfield "inline_depth" j);
     inline_body_limit =
-      (* Fields below default like [shared_intern]: snapshots written
-         before they existed decode to today's defaults. *)
+      (* snapshots written before the field existed decode to today's
+         default *)
       (match J.member "inline_body_limit" j with
       | None -> 24
       | Some v -> dint v);
-    ctx_keyed =
-      (match J.member "ctx_keyed" j with
-      | None -> true
-      | Some (J.Bool b) -> b
-      | Some _ -> bad "bad ctx_keyed");
     max_iterations = dint (dfield "max_iterations" j);
     solver =
       (match dstr (dfield "solver" j) with
@@ -330,17 +325,6 @@ let dconfig j =
          engine's solution; its snapshots stay loadable and warm. *)
       | "interned" | "delta" -> Config.Interned
       | s -> bad "unknown solver %s" s);
-    jobs = dint (dfield "jobs" j);
-    incremental = bool_field "incremental";
-    shared_intern =
-      (* Pre-split snapshots predate the field; default to the shared
-         tier (today's default config) so they stay warm-compatible
-         under it.  Loads replay into a private interner either way —
-         ids are positional — so only the warm guard sees this. *)
-      (match J.member "shared_intern" j with
-      | None -> true
-      | Some (J.Bool b) -> b
-      | Some _ -> bad "bad shared_intern");
   }
 
 let dints j = Array.of_list (List.map dint (dlist j))

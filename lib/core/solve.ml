@@ -10,8 +10,8 @@ type stats = {
   largest_scc : int;  (** members in the largest direct-edge SCC (interned solver, else 0) *)
   ctx_count : int;
       (** distinct call-string contexts (clone numbers) minted by the
-          context-keyed extraction (interned solver with [ctx_keyed],
-          else 0) *)
+          context-keyed extraction (interned solver with
+          [inline_depth > 0], else 0) *)
   ctx_keys : int;  (** distinct ⟨node, ctx⟩ keys interned (ditto) *)
   warm_solve : bool;  (** solved incrementally from a previous solution *)
   dirty_comps : int;  (** condensation components invalidated by the edit script (warm solves) *)
@@ -984,8 +984,8 @@ let iter_ivalues st nid f =
 
 (* Membership of a single abstract value (the ⊤ markers) at an op
    input, without walking the set: on a ⊤ graph the marker was interned
-   at seeding time (or sits at its fixed shared-tier index), so a
-   [None] lookup means the value cannot be anywhere. *)
+   at seeding time, so a [None] lookup means the value cannot be
+   anywhere. *)
 let ihas_value st nid v =
   match Intern.find_value st.it v with
   | None -> false
@@ -2346,10 +2346,7 @@ let warm_guard prev config (app : Framework.App.t) graph =
        and the taint plane would have to be re-derived anyway.  Sound
        mode always re-solves from scratch. *)
     Some "unknown-id markers present: sound mode is not warm-startable"
-  else if
-    config.Config.ctx_keyed && config.Config.inline_depth > 0
-    && config.Config.solver = Config.Interned
-  then
+  else if Config.context_keyed config then
     (* Context-keyed graphs carry their clone constraints only in the
        id-level stores, so the structural shape diff cannot see them —
        and clone numbers are minted per extraction, so a patched app

@@ -32,7 +32,7 @@ type stats = {
   ctx_count : int;
       (** distinct call-string contexts (clone numbers) minted by the
           context-keyed extraction; [0] under the naive engine or
-          without [ctx_keyed] context sensitivity *)
+          without context sensitivity *)
   ctx_keys : int;
       (** distinct ⟨node, ctx⟩ keys interned by the context-keyed
           extraction (the id-space footprint context sensitivity added);

@@ -2,8 +2,7 @@ type error = { err_exn : string; err_backtrace : string }
 
 type 'a outcome = { oc_seconds : float; oc_result : ('a, error) result }
 
-let default_jobs ?(cap = max_int) () =
-  max 1 (min (max 1 cap) (Domain.recommended_domain_count ()))
+let default_jobs () = max 1 (min 8 (Domain.recommended_domain_count ()))
 
 (* Wall time is measured around the task body only, so a task queued
    behind a long sibling is not billed for the wait. *)

@@ -35,9 +35,11 @@ val run_task : (unit -> 'a) -> 'a outcome
     exception (with backtrace) as an {!error}.  The building block
     {!run} and {!Stream.run} both wrap tasks with. *)
 
-val default_jobs : ?cap:int -> unit -> int
-(** [Domain.recommended_domain_count ()] clamped to [\[1, cap\]].
-    Batch drivers pass [Config.jobs] as the cap. *)
+val default_jobs : unit -> int
+(** The pool size batch drivers use when no [--jobs] is given:
+    [Domain.recommended_domain_count ()] clamped to [\[1, 8\]].  The
+    cap of 8 keeps a default run from spawning a domain per core on a
+    large host, where every minor collection stops all of them. *)
 
 type t
 (** A running pool of worker domains. *)

@@ -11,8 +11,7 @@ type corpus_result = {
   cs_run : (corpus_run, string) result;
 }
 
-let effective_jobs ?jobs (config : Gator.Config.t) =
-  match jobs with Some j -> max 1 j | None -> Pool.default_jobs ~cap:config.Gator.Config.jobs ()
+let effective_jobs ?jobs () = match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
 
 (* One batch task: generate, analyze, measure.  The app is built
    inside the task so no mutable structure (hierarchy caches, layout
@@ -35,7 +34,7 @@ let result_of_outcome spec (outcome : _ Pool.outcome) =
   }
 
 let run_specs ?(config = Gator.Config.default) ?jobs ?(fail_apps = []) specs =
-  let jobs = effective_jobs ?jobs config in
+  let jobs = effective_jobs ?jobs () in
   let tasks =
     List.map
       (fun spec () ->
@@ -97,7 +96,7 @@ let jsonl_row ?(timings = true) result =
    is bounded by the gate, not the corpus size. *)
 let run_stream ?(config = Gator.Config.default) ?jobs ?high ?low ?(timings = true)
     ?(fail_apps = []) ?(seed = 42) ~apps ~emit () =
-  let jobs = effective_jobs ?jobs config in
+  let jobs = effective_jobs ?jobs () in
   Pool.Stream.run ~jobs ?high ?low
     ~produce:(fun i -> if i < apps then Some (Corpus.Gen.stream_spec ~seed i) else None)
     ~work:(fun spec ->

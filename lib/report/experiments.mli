@@ -16,9 +16,9 @@ type corpus_result = {
           apps are unaffected *)
 }
 
-val effective_jobs : ?jobs:int -> Gator.Config.t -> int
+val effective_jobs : ?jobs:int -> unit -> int
 (** [jobs] when given (clamped to >= 1), otherwise
-    [Domain.recommended_domain_count] capped by [config.jobs]. *)
+    {!Pool.default_jobs}. *)
 
 val run_specs :
   ?config:Gator.Config.t ->

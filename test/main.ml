@@ -21,7 +21,7 @@ let () =
       ("solve", Test_solve.suite);
       ("engines", Test_engines.suite);
       ("intern", Test_intern.suite);
-      ("shared-intern", Test_shared_intern.suite);
+      ("intern-lookup", Test_intern.lookup_suite);
       ("ctx-keyed", Test_ctx_keyed.suite);
       ("incremental", Test_incremental.suite);
       ("query", Test_query.suite);

@@ -1,11 +1,11 @@
-(* Context-keyed interned solving: the three-way differential.
+(* Context-keyed interned solving: the naive = keyed differential.
 
-   The context-keyed extraction (Config.ctx_keyed, interned engine)
-   walks clone bodies in id space instead of re-extracting them as
-   [$n]-suffixed program text.  Its correctness oracle is exact
-   equivalence with the inlining path: for every app and every depth,
-     structural-inlined (Naive)  =  interned-inlined (ctx_keyed=false)
-                                 =  context-keyed   (ctx_keyed=true)
+   With context sensitivity on, the interned engine's extraction
+   ([Config.context_keyed]) walks clone bodies in id space instead of
+   re-extracting them as [$n]-suffixed program text.  Its correctness
+   oracle is exact equivalence with the inlining path the naive engine
+   (the executable spec) takes: for every app and every depth,
+     structural-inlined (Naive)  =  context-keyed (Interned)
    over points-to sets, view relations, holder roots, transitions, and
    the op-level Diff.  The batteries cover the fixed corpus, random
    spec-driven apps, cycle-heavy apps, and the alias-heavy family
@@ -15,11 +15,7 @@ open Gator
 let inlined_structural depth =
   { Config.default with Config.solver = Config.Naive; inline_depth = depth }
 
-let inlined_interned depth =
-  { Config.default with Config.solver = Config.Interned; inline_depth = depth; ctx_keyed = false }
-
-let keyed depth =
-  { Config.default with Config.solver = Config.Interned; inline_depth = depth; ctx_keyed = true }
+let keyed depth = { Config.default with Config.solver = Config.Interned; inline_depth = depth }
 
 (* The shared engine comparator, then the op-level Diff.  The keyed
    graph's [locations] miss clone nodes with empty solutions (clone
@@ -30,58 +26,54 @@ let check_same_solution name (a : Analysis.t) (b : Analysis.t) =
   let d = Diff.compare a b in
   if not (Diff.is_empty d) then Alcotest.failf "%s: op-level diff non-empty:@.%a" name Diff.pp d
 
-(* The differential proper: all three configurations at the given
-   depth, all three pairs compared. *)
-let three_way ?(depths = [ 1; 2 ]) name app =
+(* The differential proper: both configurations at each depth. *)
+let two_way ?(depths = [ 1; 2 ]) name app =
   List.iter
     (fun depth ->
       let tag = Printf.sprintf "%s@cs%d" name depth in
       let rs = Analysis.analyze ~config:(inlined_structural depth) app in
-      let ri = Analysis.analyze ~config:(inlined_interned depth) app in
       let rk = Analysis.analyze ~config:(keyed depth) app in
-      check_same_solution (tag ^ " interned-inlined vs structural") ri rs;
       check_same_solution (tag ^ " keyed vs structural") rk rs;
-      check_same_solution (tag ^ " keyed vs interned-inlined") rk ri;
       (* counter plumbing: only the keyed run mints contexts, and it
-         mints exactly as many as the inlining path mints clones *)
+         mints at least one key per context *)
       Alcotest.check Alcotest.int (tag ^ " inlined run has no ctx keys") 0
-        ri.stats.Solve.ctx_keys;
+        rs.stats.Solve.ctx_keys;
       if rk.stats.Solve.ctx_count > 0 then
         Alcotest.check Alcotest.bool (tag ^ " ctx_keys >= ctx_count") true
           (rk.stats.Solve.ctx_keys >= rk.stats.Solve.ctx_count))
     depths
 
-let test_connectbot () = three_way "ConnectBot" (Corpus.Connectbot.app ())
+let test_connectbot () = two_way "ConnectBot" (Corpus.Connectbot.app ())
 
 let test_corpus () =
   List.iter
-    (fun spec -> three_way spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec))
+    (fun spec -> two_way spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec))
     Corpus.Apps.specs
 
 let test_random_apps () =
   let rng = Util.Prng.create 4102 in
   for i = 1 to 5 do
     let spec = Corpus.Gen.random_spec ~name:(Printf.sprintf "CtxRandom_%d" i) rng in
-    three_way spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec)
+    two_way spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec)
   done
 
 let test_cycle_heavy () =
   let rng = Util.Prng.create 977 in
   for i = 1 to 4 do
-    three_way (Printf.sprintf "CtxCyclic_%d" i)
+    two_way (Printf.sprintf "CtxCyclic_%d" i)
       (Corpus.Gen.random_cyclic_app ~name:(Printf.sprintf "CtxCyclic_%d" i) rng)
   done
 
 let test_alias_heavy () =
-  three_way "AliasFixed" (Corpus.Gen.alias_heavy_app ~groups:4 ~sites_per_group:5 ~seed:11 ());
+  two_way "AliasFixed" (Corpus.Gen.alias_heavy_app ~groups:4 ~sites_per_group:5 ~seed:11 ());
   let rng = Util.Prng.create 5311 in
   for i = 1 to 4 do
-    three_way (Printf.sprintf "CtxAlias_%d" i)
+    two_way (Printf.sprintf "CtxAlias_%d" i)
       (Corpus.Gen.random_alias_heavy_app ~name:(Printf.sprintf "CtxAlias_%d" i) rng)
   done
 
 let qcheck_random_differential =
-  QCheck.Test.make ~count:20 ~name:"qcheck: three-way differential on random apps"
+  QCheck.Test.make ~count:20 ~name:"qcheck: naive = keyed on random apps"
     QCheck.(make Gen.(int_range 0 1_000_000))
     (fun seed ->
       let rng = Util.Prng.create seed in
@@ -90,7 +82,7 @@ let qcheck_random_differential =
         else if seed mod 3 = 1 then Corpus.Gen.random_alias_heavy_app rng
         else Corpus.Gen.generate (Corpus.Gen.random_spec rng)
       in
-      three_way "qcheck" app;
+      two_way "qcheck" app;
       true)
 
 (* The precision story the family exists for: context sensitivity
@@ -111,7 +103,7 @@ let test_alias_precision () =
   in
   let base = avg_recv (Analysis.analyze ~config:Config.default app) in
   let cs2 = avg_recv (Analysis.analyze ~config:(keyed 2) app) in
-  let cs2_inlined = avg_recv (Analysis.analyze ~config:(inlined_interned 2) app) in
+  let cs2_inlined = avg_recv (Analysis.analyze ~config:(inlined_structural 2) app) in
   Alcotest.check (Alcotest.float 1e-9) "keyed and inlined report the same averages" cs2_inlined cs2;
   Alcotest.check Alcotest.bool
     (Printf.sprintf "baseline merges the group (%.2f >= %d)" base sites)
@@ -121,11 +113,11 @@ let test_alias_precision () =
 
 let suite =
   [
-    Alcotest.test_case "ConnectBot three-way" `Quick test_connectbot;
-    Alcotest.test_case "random apps three-way" `Quick test_random_apps;
-    Alcotest.test_case "cycle-heavy three-way" `Quick test_cycle_heavy;
-    Alcotest.test_case "alias-heavy three-way" `Quick test_alias_heavy;
+    Alcotest.test_case "ConnectBot naive = keyed" `Quick test_connectbot;
+    Alcotest.test_case "random apps naive = keyed" `Quick test_random_apps;
+    Alcotest.test_case "cycle-heavy naive = keyed" `Quick test_cycle_heavy;
+    Alcotest.test_case "alias-heavy naive = keyed" `Quick test_alias_heavy;
     Alcotest.test_case "alias-heavy precision delta" `Quick test_alias_precision;
-    Alcotest.test_case "full corpus three-way" `Slow test_corpus;
+    Alcotest.test_case "full corpus naive = keyed" `Slow test_corpus;
     QCheck_alcotest.to_alcotest qcheck_random_differential;
   ]

@@ -26,16 +26,16 @@ let apply_patch app patch =
   | Ok app' -> app'
   | Error e -> Alcotest.failf "patch failed to apply: %s" e
 
-let load_patch file =
-  (* `dune runtest` runs in test/, `dune exec test/main.exe` in the
-     project root — accept either. *)
+(* `dune runtest` runs in test/, `dune exec test/main.exe` in the
+   project root — accept either. *)
+let fixture_path file =
   let candidates = [ Filename.concat "incremental" file; Filename.concat "test/incremental" file ] in
-  let path =
-    match List.find_opt Sys.file_exists candidates with
-    | Some p -> p
-    | None -> Alcotest.failf "patch %s not found" file
-  in
-  match Corpus.Patch.load path with
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.failf "fixture %s not found" file
+
+let load_patch file =
+  match Corpus.Patch.load (fixture_path file) with
   | Ok p -> p
   | Error e -> Alcotest.failf "patch %s failed to parse: %s" file e
 
@@ -239,56 +239,27 @@ let test_snapshot_stale_version () =
       Alcotest.check Alcotest.bool "reason names the version" true (contains ~sub:"version" e)
   | Ok _ -> Alcotest.fail "stale version accepted"
 
-(* Pre-split snapshots: files written before the shared interner tier
-   existed carry no [shared_intern] config field.  They must load
-   under the two-tier build — the codec defaults the missing field to
-   the shared tier, whose ids coincide with what the positional pool
-   replay reassigns — and warm-solve bit-identically.  A present but
-   malformed field is still a clean, named refusal. *)
-let test_snapshot_pre_split_compat () =
-  let app = inc_app () in
-  let _, solved = Incremental.analyze_solved app in
-  let strip_shared_intern = function
-    | "config", Util.Json.Obj cfields ->
-        ("config", Util.Json.Obj (List.filter (fun (k, _) -> k <> "shared_intern") cfields))
-    | f -> f
-  in
-  let pre_split =
-    match Snapshot.to_json solved with
-    | Util.Json.Obj fields -> Util.Json.Obj (List.map strip_shared_intern fields)
-    | _ -> Alcotest.fail "snapshot is not an object"
-  in
-  (match Snapshot.of_json pre_split with
-  | Error e -> Alcotest.failf "pre-split snapshot refused: %s" e
+(* A snapshot written by an earlier build, kept as a fixture: a
+   GATOR-SNAP v2 document of [inc_app] whose config still carries the
+   four operational fields since retired ([ctx_keyed], [jobs],
+   [incremental], [shared_intern]), and whose value and rid pools start
+   with the 258/257-entry frozen resource windows that build's
+   interners pre-reserved.  The codec ignores the retired fields and
+   replays the pools positionally, so the document must load, pass the
+   warm guard under today's default configuration, and warm-patch to
+   exactly the cold solution. *)
+let test_snapshot_earlier_build () =
+  match Snapshot.load (fixture_path "snapshot_v2_frozen_tier.json") with
+  | Error e -> Alcotest.failf "earlier-build snapshot refused: %s" e
   | Ok loaded ->
-      let app' = apply_patch app (load_patch "add_handler.json") in
-      let warm, _ = Incremental.analyze_incremental ~prev:loaded app' in
-      check_warm ~msg:"pre-split warm" warm;
-      check_same_solution ~msg:"pre-split warm" (Analysis.analyze app') warm);
-  let mangled = function
-    | "config", Util.Json.Obj cfields ->
-        ( "config",
-          Util.Json.Obj
-            (List.map
-               (function
-                 | "shared_intern", _ -> ("shared_intern", Util.Json.Int 42) | f -> f)
-               cfields) )
-    | f -> f
-  in
-  let bad =
-    match Snapshot.to_json solved with
-    | Util.Json.Obj fields -> Util.Json.Obj (List.map mangled fields)
-    | _ -> Alcotest.fail "snapshot is not an object"
-  in
-  match Snapshot.of_json bad with
-  | Error e ->
-      let contains ~sub s =
-        let n = String.length sub in
-        let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
-      Alcotest.check Alcotest.bool "reason names the field" true (contains ~sub:"shared_intern" e)
-  | Ok _ -> Alcotest.fail "malformed shared_intern accepted"
+      let it = Solve.solved_interner loaded in
+      Alcotest.(check bool) "pools replayed with the frozen windows" true
+        (Intern.value_count it > 258 && Intern.rid_count it >= 257);
+      let app = inc_app () in
+      let graph = Extract.run ~interner:it Config.default app in
+      Alcotest.(check (option string)) "warm guard accepts" None
+        (Solve.warm_guard loaded Config.default app graph);
+      ignore (run_patch ~msg:"earlier-build warm" app loaded (load_patch "add_handler.json"))
 
 (* Snapshots written while a third, structural semi-naive engine
    existed may carry ["solver": "delta"].  That engine computed the
@@ -358,15 +329,7 @@ let test_ctx_keyed_falls_back () =
           let warm', _ = Incremental.analyze_incremental ~config ~prev:loaded app' in
           Alcotest.check Alcotest.bool "snapshot fell back" true
             (warm'.stats.Solve.fallback <> None);
-          check_same_solution ~msg:"cs snapshot fallback" (Analysis.analyze ~config app') warm');
-  (* the inlining twin (ctx_keyed = false) has structural clone edges,
-     so its warm path still works end to end *)
-  let config_inl = { config with ctx_keyed = false } in
-  let _, solved_inl = Incremental.analyze_solved ~config:config_inl app in
-  let app' = apply_patch app (load_patch "rename_id.json") in
-  let warm_inl, _ = Incremental.analyze_incremental ~config:config_inl ~prev:solved_inl app' in
-  check_warm ~msg:"inlined cs warm" warm_inl;
-  check_same_solution ~msg:"inlined cs warm" (Analysis.analyze ~config:config_inl app') warm_inl
+          check_same_solution ~msg:"cs snapshot fallback" (Analysis.analyze ~config app') warm')
 
 let test_fallback_surfaced () =
   (* the driver path for a bad state file: full solve with the reason
@@ -461,7 +424,7 @@ let suite =
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot corrupt input" `Quick test_snapshot_corrupt;
     Alcotest.test_case "snapshot stale version" `Quick test_snapshot_stale_version;
-    Alcotest.test_case "snapshot pre-split compatibility" `Quick test_snapshot_pre_split_compat;
+    Alcotest.test_case "snapshot from an earlier build" `Quick test_snapshot_earlier_build;
     Alcotest.test_case "snapshot from the retired delta solver" `Quick test_snapshot_retired_solver;
     Alcotest.test_case "fallback surfaced in stats" `Quick test_fallback_surfaced;
     Alcotest.test_case "context-keyed cs falls back" `Quick test_ctx_keyed_falls_back;

@@ -169,6 +169,43 @@ let test_interner_roundtrip () =
     Alcotest.check Alcotest.bool "no gap in value ids" true (Hashtbl.mem seen vid)
   done
 
+(* Non-minting lookups: demand-side callers (the query engine, protocol
+   parsers) probe with keys a client named; a hit returns the minted
+   id, a miss returns [None], and neither grows any pool. *)
+let test_lookups_never_mint () =
+  let it = Intern.create () in
+  let lid = Node.V_layout_id Layouts.Resource.layout_base
+  and vid = Node.V_view_id (Layouts.Resource.view_base + 3)
+  and var = Node.N_var ({ Node.mid_cls = "A"; mid_name = "onCreate"; mid_arity = 0 }, "v") in
+  let lid_id = Intern.value it lid and vid_id = Intern.value it vid in
+  let top_id = Intern.value it Node.V_layout_top in
+  let rid = Intern.rid it (Layouts.Resource.view_base + 3) in
+  let sentinel = Intern.rid it Node.top_view_id_raw in
+  let nid = Intern.node it var in
+  let counts () = (Intern.value_count it, Intern.rid_count it, Intern.node_count it) in
+  let before = counts () in
+  Alcotest.(check (option int)) "find_value hits a layout id" (Some lid_id)
+    (Intern.find_value it lid);
+  Alcotest.(check (option int)) "find_value hits a view id" (Some vid_id)
+    (Intern.find_value it vid);
+  Alcotest.(check (option int)) "find_value hits the ⊤ marker" (Some top_id)
+    (Intern.find_value it Node.V_layout_top);
+  Alcotest.(check (option int)) "find_value misses an unseen id" None
+    (Intern.find_value it (Node.V_view_id (Layouts.Resource.view_base + 4)));
+  Alcotest.(check (option int)) "find_value misses the other ⊤ marker" None
+    (Intern.find_value it Node.V_view_id_top);
+  Alcotest.(check (option int)) "rid_opt hits" (Some rid)
+    (Intern.rid_opt it (Layouts.Resource.view_base + 3));
+  Alcotest.(check (option int)) "rid_opt hits the ⊤ sentinel" (Some sentinel)
+    (Intern.rid_opt it Node.top_view_id_raw);
+  Alcotest.(check (option int)) "rid_opt misses" None
+    (Intern.rid_opt it Layouts.Resource.layout_base);
+  Alcotest.(check (option int)) "find_node hits" (Some nid) (Intern.find_node it var);
+  Alcotest.(check (option int)) "find_node misses" None (Intern.find_node it (Node.N_field "f"));
+  Alcotest.(check (triple int int int)) "lookups mint nothing" before (counts ());
+  Alcotest.check Alcotest.int "rid round-trips" (Layouts.Resource.view_base + 3)
+    (Intern.rid_of it rid)
+
 (* ------------------------------------------------------------------ *)
 (* Engine differential: naive = interned *)
 
@@ -351,3 +388,7 @@ let suite =
     Alcotest.test_case "corpus reports byte-identical (jobs 1/4)" `Slow
       test_corpus_reports_identical;
   ]
+
+(* The non-minting lookup contract on its own. *)
+let lookup_suite =
+  [ Alcotest.test_case "hit, miss, and no mint" `Quick test_lookups_never_mint ]

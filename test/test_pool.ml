@@ -55,10 +55,10 @@ let test_edge_cases () =
   let outcomes = Pool.run ~jobs:16 [ (fun () -> 1); (fun () -> 2) ] in
   Alcotest.check (Alcotest.list Alcotest.int) "two tasks" [ 1; 2 ]
     (List.map Pool.value_exn outcomes);
-  Alcotest.check Alcotest.bool "default_jobs >= 1" true (Pool.default_jobs ~cap:0 () >= 1);
-  Alcotest.check Alcotest.bool "default_jobs capped" true (Pool.default_jobs ~cap:2 () <= 2);
-  Alcotest.check Alcotest.bool "config cap respected" true
-    (Pool.default_jobs ~cap:Config.default.Config.jobs () <= Config.default.Config.jobs);
+  Alcotest.check Alcotest.bool "default_jobs >= 1" true (Pool.default_jobs () >= 1);
+  Alcotest.check Alcotest.bool "default_jobs capped at 8" true (Pool.default_jobs () <= 8);
+  Alcotest.check Alcotest.bool "default_jobs within the recommended count" true
+    (Pool.default_jobs () <= max 1 (Domain.recommended_domain_count ()));
   match (Pool.run ~jobs:2 [ (fun () -> failwith "nope"); (fun () -> ()) ] : unit Pool.outcome list) with
   | [ bad; _ ] -> (
       match Pool.value_exn bad with
@@ -119,43 +119,19 @@ let test_corpus_matrix () =
     List.map
       (fun solver -> (Config.solver_name solver, with_solver solver Config.default))
       [ Config.Naive; Config.Interned ]
-    (* context-keyed cs-2 (interned default) and its inlining twin:
-       both must be deterministic across schedules, and byte-identical
-       to each other at any jobs level *)
-    @ [
-        ("keyed-cs2", { Config.default with inline_depth = 2 });
-        ("inlined-cs2", { Config.default with inline_depth = 2; ctx_keyed = false });
-      ]
+    (* context-keyed cs-2 must be deterministic across schedules too *)
+    @ [ ("keyed-cs2", { Config.default with inline_depth = 2 }) ]
   in
-  let batches =
-    List.map
-      (fun (tag, config) ->
-        let reference = Report.Experiments.run_corpus ~config ~jobs:1 () in
-        List.iter
-          (fun jobs ->
-            let label = Printf.sprintf "%s/jobs=%d" tag jobs in
-            let candidate = Report.Experiments.run_corpus ~config ~jobs () in
-            check_batches_identical label reference candidate)
-          [ 2; 4 ];
-        (tag, reference))
-      configs
-  in
-  (* cross-engine: the keyed cs-2 corpus run solves exactly what the
-     inlining cs-2 run solves (solver-stats columns differ — the keyed
-     run reports its contexts — so compare the solutions and tables) *)
-  let keyed = List.assoc "keyed-cs2" batches and inlined = List.assoc "inlined-cs2" batches in
-  Alcotest.check Alcotest.string "keyed-cs2 = inlined-cs2: table1 bytes"
-    (Report.Experiments.table1 inlined) (Report.Experiments.table1 keyed);
-  Alcotest.check Alcotest.string "keyed-cs2 = inlined-cs2: table2 bytes"
-    (Report.Experiments.table2 ~timings:false inlined)
-    (Report.Experiments.table2 ~timings:false keyed);
-  List.iter2
-    (fun (ref_run : Report.Experiments.corpus_run) (par_run : Report.Experiments.corpus_run) ->
-      let d = Diff.compare ref_run.cr_analysis par_run.cr_analysis in
-      if not (Diff.is_empty d) then
-        Alcotest.failf "keyed-cs2 vs inlined-cs2: %s solution differs: %a"
-          ref_run.cr_spec.Corpus.Spec.sp_name Diff.pp d)
-    (runs_exn inlined) (runs_exn keyed)
+  List.iter
+    (fun (tag, config) ->
+      let reference = Report.Experiments.run_corpus ~config ~jobs:1 () in
+      List.iter
+        (fun jobs ->
+          let label = Printf.sprintf "%s/jobs=%d" tag jobs in
+          let candidate = Report.Experiments.run_corpus ~config ~jobs () in
+          check_batches_identical label reference candidate)
+        [ 2; 4 ])
+    configs
 
 (* Random apps through the same matrix: each task generates its own
    app from the (immutable) spec, so nothing mutable crosses domains. *)
@@ -179,21 +155,16 @@ let test_random_matrix () =
           outcomes)
       [ 2; 4 ];
     (* the cs-2 pair through the same schedules: pooled context-keyed
-       and pooled inlining runs against a sequential structural cs-2 *)
-    let cs2 ctx_keyed () =
+       and pooled inlining (naive) runs against a sequential naive cs-2 *)
+    let cs2 solver () =
       Analysis.analyze
-        ~config:
-          { (with_solver Config.Interned Config.default) with inline_depth = 2; ctx_keyed }
+        ~config:{ (with_solver solver Config.default) with inline_depth = 2 }
         (Corpus.Gen.generate spec)
     in
-    let reference_cs2 =
-      Analysis.analyze
-        ~config:{ (with_solver Config.Naive Config.default) with inline_depth = 2 }
-        (Corpus.Gen.generate spec)
-    in
+    let reference_cs2 = cs2 Config.Naive () in
     List.iter
       (fun jobs ->
-        let outcomes = Pool.run ~jobs [ cs2 true; cs2 false ] in
+        let outcomes = Pool.run ~jobs [ cs2 Config.Naive; cs2 Config.Interned ] in
         List.iter
           (fun outcome ->
             Test_engines.check_same_solution
@@ -280,10 +251,9 @@ let test_batch_determinism () =
     [
       Config.default;
       { Config.default with inline_depth = 1 };
-      (* context-keyed cs-2 and its inlining twin: clone numbering and
-         ⟨node, ctx⟩ minting must not depend on the schedule either *)
+      (* context-keyed cs-2: clone numbering and ⟨node, ctx⟩ minting
+         must not depend on the schedule either *)
       { Config.default with inline_depth = 2 };
-      { Config.default with inline_depth = 2; ctx_keyed = false };
     ]
 
 let test_qcheck_pool_equivalence =

@@ -2,7 +2,7 @@
    bit-identical to the forward fixpoint's projections — at EVERY fuel
    budget, since each fallback (generator, cycle, budget) substitutes
    the cached forward solution, which is exact.  The battery mirrors
-   the three-engine differential in [test_intern.ml]: corpus apps,
+   the engine differential in [test_intern.ml]: corpus apps,
    qcheck random apps, cycle-heavy apps, incrementally patched apps,
    sequentially and under the worker pool at jobs 1 and 4. *)
 open Gator
@@ -255,12 +255,26 @@ let test_stats_accumulate_on_shared_engine () =
   Alcotest.(check bool) "memo hits grew" true (m2 > 0);
   Alcotest.(check bool) "still no spontaneous reset" true (e2 >= e1)
 
+(* The query engine uses only non-minting lookups: answering
+   points-to at every location of a solved XBMC leaves the solved
+   state's value, rid and node pools exactly as the solve left them. *)
+let test_queries_never_mint () =
+  let app = Corpus.Apps.generate (Option.get (Corpus.Apps.by_name "XBMC")) in
+  let r, solved = Incremental.analyze_solved app in
+  let it = Solve.solved_interner solved in
+  let counts () = (Intern.value_count it, Intern.rid_count it, Intern.node_count it) in
+  let minted = counts () in
+  let q = Query.create ~hierarchy:app.Framework.App.hierarchy solved in
+  List.iter (fun node -> ignore (Query.points_to q node)) (Graph.locations r.Analysis.graph);
+  Alcotest.(check (triple int int int)) "queries mint nothing" minted (counts ())
+
 let suite =
   [
     Alcotest.test_case "ConnectBot: backward = forward at every budget" `Quick test_connectbot;
     Alcotest.test_case "cyclic app: backward = forward" `Quick test_cyclic;
     Alcotest.test_case "patched apps: warm state queries = cold forward" `Quick test_patched;
     Alcotest.test_case "query stats counters" `Quick test_stats_counters;
+    Alcotest.test_case "XBMC points-to mints nothing" `Quick test_queries_never_mint;
     Alcotest.test_case "stats accumulate on a shared engine" `Quick
       test_stats_accumulate_on_shared_engine;
     QCheck_alcotest.to_alcotest test_qcheck_random;
