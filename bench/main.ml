@@ -145,7 +145,7 @@ let tests () =
             ignore (Gator.Solve.run Gator.Config.default xbmc xbmc_graph);
             Gator.Solve.run Gator.Config.default refl refl_graph));
     (* Context sensitivity, solve-only like the engine rows above: the
-       keyed extraction certifies which ids are context clones, so the
+       inliner names every clone variable with [Node.clone_var], so the
        solve runs clone-chain substitution before condensing.  Read
        against analysis/interned(XBMC) for the solve-time cost of
        depth 2; the full extract+solve cost is tracked by
@@ -503,8 +503,6 @@ let write_json_results rows corpus_batch engines cyclic incremental queries stre
             ("union_calls", Util.Json.Int row.sv_union_calls);
             ("scc_count", Util.Json.Int row.sv_scc_count);
             ("largest_scc", Util.Json.Int row.sv_largest_scc);
-            ("ctx_count", Util.Json.Int row.sv_ctx_count);
-            ("ctx_keys", Util.Json.Int row.sv_ctx_keys);
           ])
       [ Gator.Config.Naive; Gator.Config.Interned ]
   in

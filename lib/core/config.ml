@@ -36,5 +36,3 @@ let baseline =
     max_iterations = 1000;
     solver = Interned;
   }
-
-let context_keyed c = c.inline_depth > 0 && c.solver = Interned

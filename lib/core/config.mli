@@ -2,8 +2,8 @@
     fixed point is computed (Section 4.2 plus the refinements below),
     the engine that computes it, and its safety valve.  Nothing here
     is an operational knob: pool sizes live in {!Pool}
-    ([Pool.default_jobs]), and how an engine represents ids or clones
-    is derived, not configured.
+    ([Pool.default_jobs]), and how an engine represents ids is
+    derived, not configured.
 
     The defaults reproduce the paper's implementation (including the
     FINDVIEW3 children-only refinement it mentions employing); each
@@ -41,8 +41,9 @@ type t = {
           value flow.  [0] (the default) reproduces the paper's
           context-insensitive analysis; the paper's Section 5 notes
           context sensitivity as the cure for the XBMC receivers
-          outlier — see the ablation benches.  How the clones are
-          built follows from [solver] (see {!context_keyed}). *)
+          outlier — see the ablation benches.  Both engines solve the
+          same inlined graph: each clone renames the callee's locals
+          with {!Node.clone_var}. *)
   inline_body_limit : int;
       (** Bound on the body size (statement count) of callees eligible
           for context-sensitive separation; larger callees share their
@@ -56,14 +57,3 @@ val default : t
 val baseline : t
 (** Everything off — approximates a plain Andersen-style analysis with
     no Android modeling refinements. *)
-
-val context_keyed : t -> bool
-(** Whether extraction walks clone bodies in id space: exactly when
-    context sensitivity is on ([inline_depth > 0]) and the [Interned]
-    engine solves.  Keyed extraction interns each ⟨variable, clone⟩
-    pair once and emits clone edges at the id level only, instead of
-    re-extracting callee bodies as [$n]-suffixed program text; the
-    solution is bit-identical to the inlining path, which the naive
-    engine (the executable spec) always takes.  Keyed graphs keep
-    their clone constraints out of the structural tables, so the warm
-    guard refuses them as donors. *)

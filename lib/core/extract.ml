@@ -10,14 +10,6 @@ let value_of_int resources n =
     Some (Node.V_view_id n)
   else None
 
-(* Clone suffixes ("$1", "$2", ...) are minted once per clone but the
-   strings themselves recur across every context-sensitive extraction;
-   the table covers all realistic clone counts so the hot path is an
-   array read instead of a [Printf] format interpretation. *)
-let suffix_table = Array.init 1024 (fun i -> "$" ^ string_of_int i)
-
-let clone_suffix n = if n < 1024 then suffix_table.(n) else "$" ^ string_of_int n
-
 type ctx = {
   depth : int;  (** current inlining depth *)
   rename : string -> string;  (** variable renaming for the current clone *)
@@ -32,30 +24,17 @@ type ctx = {
 let top_ctx ~clones mid =
   { depth = 0; rename = Fun.id; ret_target = Node.N_ret mid; stack = [ mid ]; clones }
 
-(* '$' cannot occur in source identifiers, so renamed variables never
-   collide with real ones. *)
-let fresh_clone_suffix ctx =
-  incr ctx.clones;
-  clone_suffix !(ctx.clones)
-
-(* CHA facts at a call site, shared verbatim by the structural and
-   context-keyed walks (the inlining guard MUST be the same predicate
-   in both, or the clone numbering diverges and the bit-identity
-   oracle breaks).
-
-   The hierarchy-dependent half — dispatch targets and platform
-   reachability — is a pure function of (receiver type, name, arity)
-   for a fixed app, so it is memoised per extraction run ([cha]).
-   Every consumer hits the same sites repeatedly: the structural
-   inliner re-walks callee bodies once per clone, and template builds
-   re-resolve the sites the top-level walk already saw.  Only the
-   depth/stack-dependent guard tail stays live. *)
+(* CHA facts at a call site.  The hierarchy-dependent half — dispatch
+   targets and platform reachability — is a pure function of (receiver
+   type, name, arity) for a fixed app, so it is memoised per extraction
+   run ([cha]): the inliner re-walks a callee body once per clone and
+   hits the same sites every time.  Only the depth/stack-dependent
+   guard tail stays live. *)
 type cha_cache = (string option * string * int, (string * Jir.Ast.meth) list * bool) Hashtbl.t
 
-(* Per-run caches shared by the structural walk, the inliner and the
-   template compiler: CHA facts per call signature, and typing
-   environments per method (the inliner re-derives the callee env once
-   per clone; templates would re-derive it once per build). *)
+(* Per-run caches: CHA facts per call signature, and typing
+   environments per method (the inliner would otherwise re-derive the
+   callee env once per clone). *)
 type ex_memo = {
   cha : cha_cache;
   envs : (Node.mid, Jir.Typing.env) Hashtbl.t;
@@ -112,232 +91,7 @@ let call_info config hierarchy ~memo env ~depth ~stack recv name arity =
   in
   (app_targets, may_reach_platform, inlinable)
 
-(* Context-keyed clone expansion ({!Config.context_keyed}: the
-   interned engine with context sensitivity on): clone bodies are
-   expanded in id space.  Each inlinable method is compiled ONCE per
-   extraction into an id-level template — statements resolved to base
-   node ids, CHA facts and the depth-independent part of the inlining
-   guard precomputed — and every context then replays the template
-   through {!Intern.ctx_node}, which mints exactly the [$n]-renamed
-   node the inlining path would build structurally.  A replay costs
-   packed-int cache probes instead of structural interning, string
-   concatenation, or hierarchy scans.  Statement order, clone
-   numbering, and the inlining guard are identical to the structural
-   walk below; the two paths must stay in lockstep. *)
-type kctx = {
-  k_depth : int;  (** current inlining depth (>= 1 inside a clone) *)
-  k_clone : int;  (** this clone's number; suffix is ["$" ^ k_clone] *)
-  k_ret : int Lazy.t;
-      (** id the clone's [return x] flows to; lazy so a result-discarded
-          call whose body never returns a value interns no [$ret] node —
-          matching the inlining path, which only builds that node when an
-          edge touches it *)
-  k_stack : Node.mid list;
-  k_clones : int ref;
-}
-
-(* Template operands are base ids tagged with whether the context
-   rename applies: [2*id + 1] for locals of the template's method
-   (renamed per clone), [2*id] for fixed structural nodes (fields,
-   boundary variables of non-inlined callees). *)
-let t_mapped id = (id lsl 1) lor 1
-let t_fixed id = id lsl 1
-
-type tinstr =
-  | T_alloc of { out : int; cls : string; site : Node.site; is_view : bool }
-  | T_edge of { src : int; dst : int; kind : Graph.edge_kind }
-  | T_layout_id of { out : int; name : string }
-      (** resolved per expansion: the resource tables assign numbers on
-          first touch, so resolving at build time would permute the
-          numbering relative to the inlining walk *)
-  | T_view_id of { out : int; name : string }
-  | T_layout_top of { out : int }  (** [R.layout.?] — seeds the ⊤ layout marker *)
-  | T_view_top of { out : int }  (** [R.id.?] — seeds the ⊤ view-id marker *)
-  | T_const of { out : int; n : int }
-      (** [value_of_int] reads the resource tables, so it too must
-          evaluate at the point the inlining walk would *)
-  | T_ret of { src : int }  (** edge into the expansion's [k_ret] *)
-  | T_call of tcall
-
-and tcall = {
-  tc_recv : int;
-  tc_args : int list;
-  tc_out : int option;
-  tc_inline : tinline option;
-      (** [Some] when the depth-independent guard passes (single CHA
-          target, small body, platform-unreachable); the depth bound
-          and recursion stack are checked per expansion *)
-  tc_fallback : (int * int list * int) list;
-      (** per CHA target: structural this / params / [N_ret] ids *)
-  tc_op : Framework.Api.kind option;
-  tc_site : Node.site;
-}
-
-and tinline = {
-  ti_tmid : Node.mid;
-  ti_owner : string;
-  ti_target : Jir.Ast.meth;
-  ti_this : int;
-  ti_params : int list;
-  ti_ret : int Lazy.t;  (** lazy: result-discarded never-returning calls intern no [$ret] *)
-}
-
-type tcache = (Node.mid, tinstr array) Hashtbl.t
-
-let build_template config (app : Framework.App.t) graph ~memo ~owner (target : Jir.Ast.meth) =
-  let mid = Node.mid_of_meth owner target in
-  let hierarchy = app.Framework.App.hierarchy in
-  let env = typing_env_memo app memo ~owner target in
-  let mapped name = t_mapped (Graph.node_id graph (var mid name)) in
-  let instr index stmt =
-    let site () = { Node.s_in = mid; s_stmt = index } in
-    match stmt with
-    | Jir.Ast.New (x, cls) ->
-        [ T_alloc
-            { out = mapped x; cls; site = site ();
-              is_view = Framework.Views.is_view_class hierarchy cls } ]
-    | Jir.Ast.Copy (x, y) -> [ T_edge { src = mapped y; dst = mapped x; kind = Graph.E_direct } ]
-    | Jir.Ast.Read_field (x, _, f) ->
-        [ T_edge
-            { src = t_fixed (Graph.node_id graph (Node.N_field f)); dst = mapped x;
-              kind = Graph.E_direct } ]
-    | Jir.Ast.Write_field (_, f, y) ->
-        [ T_edge
-            { src = mapped y; dst = t_fixed (Graph.node_id graph (Node.N_field f));
-              kind = Graph.E_direct } ]
-    | Jir.Ast.Read_layout_id (x, name) -> [ T_layout_id { out = mapped x; name } ]
-    | Jir.Ast.Read_view_id (x, name) -> [ T_view_id { out = mapped x; name } ]
-    | Jir.Ast.Read_layout_top x -> [ T_layout_top { out = mapped x } ]
-    | Jir.Ast.Read_view_top x -> [ T_view_top { out = mapped x } ]
-    | Jir.Ast.Const_int (x, n) -> [ T_const { out = mapped x; n } ]
-    | Jir.Ast.Const_null _ -> []
-    | Jir.Ast.Cast (x, cls, y) ->
-        let kind = if config.Config.cast_filtering then Graph.E_cast cls else Graph.E_direct in
-        [ T_edge { src = mapped y; dst = mapped x; kind } ]
-    | Jir.Ast.Return (Some x) -> [ T_ret { src = mapped x } ]
-    | Jir.Ast.Return None -> []
-    | Jir.Ast.Invoke (lhs, recv, name, args) ->
-        let arity = List.length args in
-        (* depth 0 / empty stack: only the depth-independent part of
-           the guard is baked in; the per-expansion parts are checked
-           when the template replays *)
-        let app_targets, may_reach_platform, deep =
-          call_info config hierarchy ~memo env ~depth:0 ~stack:[] recv name arity
-        in
-        let tc_inline =
-          match (deep, app_targets) with
-          | true, [ (owner', t') ] ->
-              let tmid = Node.mid_of_meth owner' t' in
-              Some
-                {
-                  ti_tmid = tmid;
-                  ti_owner = owner';
-                  ti_target = t';
-                  ti_this = Graph.node_id graph (var tmid Jir.Ast.this_var);
-                  ti_params =
-                    List.map (fun (p, _) -> Graph.node_id graph (var tmid p)) t'.m_params;
-                  ti_ret = lazy (Graph.node_id graph (var tmid "$ret"));
-                }
-          | _ -> None
-        in
-        let tc_fallback =
-          List.map
-            (fun (owner', (t' : Jir.Ast.meth)) ->
-              let tmid = Node.mid_of_meth owner' t' in
-              ( Graph.node_id graph (var tmid Jir.Ast.this_var),
-                List.map (fun (p, _) -> Graph.node_id graph (var tmid p)) t'.m_params,
-                Graph.node_id graph (Node.N_ret tmid) ))
-            app_targets
-        in
-        let tc_op = if may_reach_platform then Framework.Api.classify ~name ~arity else None in
-        [ T_call
-            { tc_recv = mapped recv; tc_args = List.map mapped args;
-              tc_out = Option.map mapped lhs; tc_inline; tc_fallback; tc_op; tc_site = site () } ]
-  in
-  Array.of_list (List.concat (List.mapi instr target.m_body))
-
-let rec expand_template config app graph (tcache : tcache) ~memo ~kctx ~owner
-    (target : Jir.Ast.meth) =
-  let mid = Node.mid_of_meth owner target in
-  let instrs =
-    match Hashtbl.find_opt tcache mid with
-    | Some t -> t
-    | None ->
-        let t = build_template config app graph ~memo ~owner target in
-        Hashtbl.add tcache mid t;
-        t
-  in
-  let it = Graph.interner graph in
-  let resources = Layouts.Package.resources app.Framework.App.package in
-  let rs enc =
-    if enc land 1 = 1 then Intern.ctx_node it ~base:(enc lsr 1) ~ctx:kctx.k_clone else enc lsr 1
-  in
-  Array.iter
-    (function
-      | T_alloc { out; cls; site; is_view } ->
-          let alloc = Graph.fresh_alloc graph ~cls ~site in
-          let value = if is_view then Node.V_view (Node.V_alloc alloc) else Node.V_obj alloc in
-          Graph.seed_id graph (rs out) value
-      | T_edge { src; dst; kind } -> Graph.add_edge_ids graph ~kind (rs src) (rs dst)
-      | T_layout_id { out; name } ->
-          Graph.seed_id graph (rs out)
-            (Node.V_layout_id (Layouts.Resource.layout_id resources name))
-      | T_view_id { out; name } ->
-          Graph.seed_id graph (rs out) (Node.V_view_id (Layouts.Resource.view_id resources name))
-      | T_layout_top { out } -> Graph.seed_id graph (rs out) Node.V_layout_top
-      | T_view_top { out } -> Graph.seed_id graph (rs out) Node.V_view_id_top
-      | T_const { out; n } -> (
-          match value_of_int resources n with
-          | Some value -> Graph.seed_id graph (rs out) value
-          | None -> ())
-      | T_ret { src } -> Graph.add_edge_ids graph (rs src) (Lazy.force kctx.k_ret)
-      | T_call c -> (
-          match c.tc_inline with
-          | Some ti
-            when kctx.k_depth < config.Config.inline_depth
-                 && not (List.mem ti.ti_tmid kctx.k_stack) ->
-              incr kctx.k_clones;
-              let clone = !(kctx.k_clones) in
-              Graph.add_edge_ids graph (rs c.tc_recv)
-                (Intern.ctx_node it ~base:ti.ti_this ~ctx:clone);
-              List.iter2
-                (fun arg param ->
-                  Graph.add_edge_ids graph (rs arg) (Intern.ctx_node it ~base:param ~ctx:clone))
-                c.tc_args ti.ti_params;
-              let k_ret =
-                match c.tc_out with
-                | Some z ->
-                    let ret = Intern.ctx_node it ~base:(Lazy.force ti.ti_ret) ~ctx:clone in
-                    Graph.add_edge_ids graph ret (rs z);
-                    Lazy.from_val ret
-                | None -> lazy (Intern.ctx_node it ~base:(Lazy.force ti.ti_ret) ~ctx:clone)
-              in
-              expand_template config app graph tcache ~memo
-                ~kctx:
-                  { k_depth = kctx.k_depth + 1; k_clone = clone; k_ret;
-                    k_stack = ti.ti_tmid :: kctx.k_stack; k_clones = kctx.k_clones }
-                ~owner:ti.ti_owner ti.ti_target
-          | _ ->
-              List.iter
-                (fun (this_id, param_ids, ret_id) ->
-                  Graph.add_edge_ids graph (rs c.tc_recv) this_id;
-                  List.iter2
-                    (fun arg param -> Graph.add_edge_ids graph (rs arg) param)
-                    c.tc_args param_ids;
-                  Option.iter (fun z -> Graph.add_edge_ids graph ret_id (rs z)) c.tc_out)
-                c.tc_fallback;
-              (match c.tc_op with
-              | Some kind ->
-                  ignore
-                    (Graph.fresh_op_ids graph ~kind ~site:c.tc_site ~recv:(rs c.tc_recv)
-                       ~args:(List.map rs c.tc_args)
-                       ~out:(Option.map rs c.tc_out))
-              | None -> ())))
-    instrs
-
-(* [keyed = Some tcache] routes inlinable clone bodies through the
-   context-keyed template expansion above; [None] clones program text. *)
-let rec extract_stmt config (app : Framework.App.t) graph ~keyed ~memo ~ctx mid env ~index stmt =
+let rec extract_stmt config (app : Framework.App.t) graph ~memo ~ctx mid env ~index stmt =
   let hierarchy = app.Framework.App.hierarchy in
   let resources = Layouts.Package.resources app.package in
   let is_view cls = Framework.Views.is_view_class hierarchy cls in
@@ -377,43 +131,12 @@ let rec extract_stmt config (app : Framework.App.t) graph ~keyed ~memo ~ctx mid 
       let app_targets, may_reach_platform, inlinable =
         call_info config hierarchy ~memo env ~depth:ctx.depth ~stack:ctx.stack recv name arity
       in
-      match (inlinable, app_targets, keyed) with
-      | true, [ (owner, target) ], Some tcache ->
-          (* Context-keyed boundary: the top-level statement walk stays
-             structural, but the clone body is expanded entirely in id
-             space.  Clone numbering is shared with the inlining path
-             (same counter, same pre-order mint), so the ⟨node, ctx⟩
-             keys decode to exactly the [$n] names inlining would
-             emit. *)
+      match (inlinable, app_targets) with
+      | true, [ (owner, target) ] ->
           let tmid = Node.mid_of_meth owner target in
           incr ctx.clones;
           let clone = !(ctx.clones) in
-          let it = Graph.interner graph in
-          let cnode name =
-            Intern.ctx_node it ~base:(Graph.node_id graph (var tmid name)) ~ctx:clone
-          in
-          let vid name = Graph.node_id graph (v name) in
-          Graph.add_edge_ids graph (vid recv) (cnode Jir.Ast.this_var);
-          List.iter2
-            (fun arg (param, _) -> Graph.add_edge_ids graph (vid arg) (cnode param))
-            args target.m_params;
-          let k_ret =
-            match lhs with
-            | Some z ->
-                let ret = cnode "$ret" in
-                Graph.add_edge_ids graph ret (vid z);
-                Lazy.from_val ret
-            | None -> lazy (cnode "$ret")
-          in
-          let kctx =
-            { k_depth = ctx.depth + 1; k_clone = clone; k_ret; k_stack = tmid :: ctx.stack;
-              k_clones = ctx.clones }
-          in
-          expand_template config app graph tcache ~memo ~kctx ~owner target
-      | true, [ (owner, target) ], None ->
-          let tmid = Node.mid_of_meth owner target in
-          let suffix = fresh_clone_suffix ctx in
-          let rename' name = name ^ suffix in
+          let rename' name = Node.clone_var name clone in
           Graph.add_edge graph (v recv) (var tmid (rename' Jir.Ast.this_var));
           List.iter2
             (fun arg (param, _) -> Graph.add_edge graph (v arg) (var tmid (rename' param)))
@@ -432,7 +155,7 @@ let rec extract_stmt config (app : Framework.App.t) graph ~keyed ~memo ~ctx mid 
           let env' = typing_env_memo app memo ~owner target in
           List.iteri
             (fun index stmt ->
-              extract_stmt config app graph ~keyed ~memo ~ctx:ctx' tmid env' ~index stmt)
+              extract_stmt config app graph ~memo ~ctx:ctx' tmid env' ~index stmt)
             target.m_body
       | _ ->
           List.iter
@@ -453,12 +176,12 @@ let rec extract_stmt config (app : Framework.App.t) graph ~keyed ~memo ~ctx mid 
                      ~out:(Option.map v lhs))
             | None -> ()))
 
-let extract_meth config app graph ~keyed ~memo ~clones ~owner (m : Jir.Ast.meth) =
+let extract_meth config app graph ~memo ~clones ~owner (m : Jir.Ast.meth) =
   let mid = Node.mid_of_meth owner m in
   let env = typing_env_memo app memo ~owner m in
   let ctx = top_ctx ~clones mid in
   List.iteri
-    (fun index stmt -> extract_stmt config app graph ~keyed ~memo ~ctx mid env ~index stmt)
+    (fun index stmt -> extract_stmt config app graph ~memo ~ctx mid env ~index stmt)
     m.m_body
 
 (* Seed the implicit activity instance into [this] of every lifecycle
@@ -516,15 +239,10 @@ let run ?interner config (app : Framework.App.t) =
      running concurrently on separate domains cannot interleave. *)
   let clones = ref 0 in
   let graph = Graph.create ?interner () in
-  (* Context-keyed clone expansion only pays off on the interned engine
-     (the naive engine never reads the id-level stores), so the naive
-     solver always takes the inlining path.  The template cache is
-     per-extraction: it captures base ids of this graph's interner. *)
-  let keyed = if Config.context_keyed config then Some (Hashtbl.create 64 : tcache) else None in
   let memo = fresh_memo () in
   List.iter
     (fun (cls : Jir.Ast.cls) ->
-      List.iter (extract_meth config app graph ~keyed ~memo ~clones ~owner:cls.c_name) cls.c_methods)
+      List.iter (extract_meth config app graph ~memo ~clones ~owner:cls.c_name) cls.c_methods)
     app.program.p_classes;
   List.iter (seed_activity_callbacks app graph) (Framework.App.activity_classes app);
   if config.Config.model_dialogs then seed_dialog_callbacks app graph;

@@ -78,10 +78,9 @@ type t = {
       (** hash-consing interner: every node touched by an edge, seed,
           or op gets a dense id at construction time, so the interned
           solver's freeze step is pure integer work *)
-  edges : (Node.t, (edge_kind * Node.t) list) Hashtbl.t;
   mutable isuccs : (int * int) list array;
-      (** id-level mirror of [edges]: src id -> (cast sym, dst id),
-          newest first *)
+      (** the flow edges, the graph's only edge store: src id ->
+          (cast sym, dst id), newest first *)
   icast_tbl : (string, int) Hashtbl.t;  (** cast class -> dense sym *)
   mutable icast_rev : string list;  (** newest first *)
   mutable frozen : (int * flow_csr) option;
@@ -136,7 +135,6 @@ type t = {
 let create ?interner () =
   {
     g_it = (match interner with Some it -> it | None -> Intern.create ());
-    edges = Hashtbl.create 256;
     isuccs = [||];
     icast_tbl = Hashtbl.create 8;
     icast_rev = [];
@@ -195,6 +193,8 @@ let cast_sym t cls =
       t.icast_rev <- cls :: t.icast_rev;
       sym
 
+let cast_names t = Array.of_list (List.rev t.icast_rev)
+
 let isuccs_ensure t i =
   let n = Array.length t.isuccs in
   if i >= n then begin
@@ -219,8 +219,6 @@ let add_edge t ?(kind = E_direct) src dst =
   if not (Edge_seen.mem t.edge_seen key) then begin
     Edge_seen.add t.edge_seen key ();
     t.edge_total <- t.edge_total + 1;
-    let existing = Option.value (Hashtbl.find_opt t.edges src) ~default:[] in
-    Hashtbl.replace t.edges src ((kind, dst) :: existing);
     isuccs_ensure t sid;
     t.isuccs.(sid) <- (ksym, did) :: t.isuccs.(sid)
   end
@@ -234,47 +232,6 @@ let seed t node value =
   Hashtbl.replace t.seed_tbl node (VS.add value existing)
 
 let has_top t = t.g_has_top
-
-(* Id-level emission (context-keyed extraction).  Clone-body
-   constraints write only the id-level mirrors — the edge dedup table,
-   [isuccs], and the edge counter — never the structural [edges]
-   table.  The frozen CSR is laid out from [isuccs], so the interned
-   solver sees the context-expanded flow graph, while structural
-   consumers ([succs], [locations], [pp_dot]) keep the
-   context-insensitive skeleton; materialisation installs the clone
-   rows structurally after the solve. *)
-let add_edge_ids t ?(kind = E_direct) sid did =
-  let ksym = match kind with E_direct -> -1 | E_cast cls -> cast_sym t cls in
-  let key = (sid, ksym, did) in
-  if not (Edge_seen.mem t.edge_seen key) then begin
-    Edge_seen.add t.edge_seen key ();
-    t.edge_total <- t.edge_total + 1;
-    isuccs_ensure t sid;
-    t.isuccs.(sid) <- (ksym, did) :: t.isuccs.(sid)
-  end
-
-(* Seed statements are rare (allocations, id constants); decoding the
-   id back keeps the seed table structural and identical between the
-   keyed and inlining paths. *)
-let seed_id t nid value = seed t (Intern.node_of t.g_it nid) value
-
-(* The op record still carries structural nodes (decoded from the ids,
-   so clone receivers surface with their [$n]-suffixed names exactly as
-   the inlining path records them); the id triple goes straight onto
-   [iop_ids] without re-interning. *)
-let fresh_op_ids t ~kind ~site ~recv ~args ~out =
-  let node_of id = Intern.node_of t.g_it id in
-  let op =
-    {
-      site = { Node.o_site = site; o_kind = kind };
-      op_recv = node_of recv;
-      op_args = List.map node_of args;
-      op_out = Option.map node_of out;
-    }
-  in
-  t.iop_ids <- (recv, Array.of_list args, Option.value out ~default:(-1)) :: t.iop_ids;
-  t.op_list <- op :: t.op_list;
-  op
 
 (* Iterative Tarjan over the direct-edge subgraph ([ekind < 0]).  Cast
    edges are excluded: they filter, and collapsing a cast into a shared
@@ -396,24 +353,29 @@ let build_condensed n row edst ekind rep =
   done;
   (crow, cdst, ckind)
 
-(* CSR snapshot of the flow edges over the interned ids: [isuccs] keeps
-   each adjacency newest-first, so laying entries out backward from the
-   row boundary restores insertion order. *)
-(* Copy-chain substitution over context clones (offline variable
-   substitution, restricted to ids {!Intern.ctx_clone_ids} certifies
-   as flow-only).  A clone variable with exactly one incoming direct
-   edge, no incoming cast edge, no seed and no op writing it provably
-   saturates to its predecessor's set, so it needs no bitset of its
-   own: its rep is patched to the chain root's and the defining edge
-   disappears from the condensed CSR.  Context expansion mass-produces
-   exactly this shape (recv → this$n, arg → param$n, ret$n → out), so
-   the solve over the expanded graph collapses back towards the
-   context-insensitive size.  Materialisation still installs every
-   clone node (from the shared root set), keeping the result
-   bit-identical to the inlining path; non-keyed graphs have no clone
-   ids and skip this entirely. *)
+(* Copy-chain substitution over clone variables (offline variable
+   substitution).  The certificate is the name: only the inliner mints
+   {!Node.clone_var} names, and a clone variable is only ever written
+   through its flow edges, a seed, or an op output — handler injection
+   and the declarative passes push into base (uncloned) locals.  A
+   clone with exactly one incoming direct edge, no incoming cast edge,
+   no seed and no op writing it therefore saturates to its
+   predecessor's set, so it needs no bitset of its own: its rep is
+   patched to the chain root's and the defining edge disappears from
+   the condensed CSR.  Inlining mass-produces exactly this shape (recv
+   → this#n, arg → param#n, $ret#n → out), so the solve over the
+   cloned graph collapses back towards the context-insensitive size.
+   Materialisation still installs every clone node (from the shared
+   root set), so the solution is unchanged.  Without context
+   sensitivity no node carries a clone name and this is skipped. *)
 let clone_subst t n row edst ekind =
-  match Intern.ctx_clone_ids t.g_it with
+  let clone_ids = ref [] in
+  for id = n - 1 downto 0 do
+    match Intern.node_of t.g_it id with
+    | Node.N_var (_, name) when Node.is_clone_var name -> clone_ids := id :: !clone_ids
+    | Node.N_var _ | Node.N_field _ | Node.N_ret _ -> ()
+  done;
+  match !clone_ids with
   | [] -> None
   | clone_ids ->
       let direct_in = Array.make n 0 in
@@ -440,10 +402,8 @@ let clone_subst t n row edst ekind =
       let cand = Array.make n false in
       List.iter
         (fun id ->
-          if
-            id < n && direct_in.(id) = 1 && (not cast_in.(id)) && (not blocked.(id))
-            && pred.(id) <> id
-          then cand.(id) <- true)
+          if direct_in.(id) = 1 && (not cast_in.(id)) && (not blocked.(id)) && pred.(id) <> id then
+            cand.(id) <- true)
         clone_ids;
       (* Chase chains to their first non-substituted node; a defining
          cycle (pure copy loop with no outside edge) demotes the link
@@ -468,11 +428,14 @@ let clone_subst t n row edst ekind =
           else i
         end
       in
-      List.iter (fun id -> if id < n then ignore (resolve id)) clone_ids;
+      List.iter (fun id -> ignore (resolve id)) clone_ids;
       let count = ref 0 in
       Array.iteri (fun i r -> if r <> i then incr count) sub;
       if !count = 0 then None else Some (sub, !count)
 
+(* CSR snapshot of the flow edges over the interned ids: [isuccs] keeps
+   each adjacency newest-first, so laying entries out backward from the
+   row boundary restores insertion order. *)
 let build_frozen_flow t =
   let n = Intern.node_count t.g_it in
   let m = Array.length t.isuccs in
@@ -548,7 +511,7 @@ let build_frozen_flow t =
     fc_row = row;
     fc_edst = edst;
     fc_ekind = ekind;
-    fc_cast_names = Array.of_list (List.rev t.icast_rev);
+    fc_cast_names = cast_names t;
     fc_rep = rep;
     fc_crow = crow;
     fc_cdst = cdst;
@@ -624,7 +587,30 @@ let views_of t node =
     (fun v acc -> match Node.view_of_value v with Some view -> view :: acc | None -> acc)
     (set_of t node) []
 
-let succs t node = Option.value (Hashtbl.find_opt t.edges node) ~default:[]
+(* Decoders over the id store.  Decoded lists keep [isuccs]'s
+   newest-first order per source: the naive engine propagates in that
+   order, and its work counters depend on it. *)
+let decode_succs t casts adj =
+  List.map
+    (fun (ksym, did) ->
+      ((if ksym < 0 then E_direct else E_cast casts.(ksym)), Intern.node_of t.g_it did))
+    adj
+
+let iter_flow t f =
+  let casts = cast_names t in
+  Array.iteri
+    (fun sid adj -> if adj <> [] then f (Intern.node_of t.g_it sid) (decode_succs t casts adj))
+    t.isuccs
+
+let succs t node =
+  match Intern.find_node t.g_it node with
+  | Some sid when sid < Array.length t.isuccs -> decode_succs t (cast_names t) t.isuccs.(sid)
+  | _ -> []
+
+let succ_table t =
+  let table = Hashtbl.create 256 in
+  iter_flow t (Hashtbl.replace table);
+  fun node -> Option.value (Hashtbl.find_opt table node) ~default:[]
 
 let seeds t = Hashtbl.fold (fun node vs acc -> (node, vs) :: acc) t.seed_tbl []
 
@@ -881,11 +867,9 @@ let locations t =
       out := node :: !out
     end
   in
-  Hashtbl.iter
-    (fun src targets ->
+  iter_flow t (fun src targets ->
       add src;
-      List.iter (fun (_, dst) -> add dst) targets)
-    t.edges;
+      List.iter (fun (_, dst) -> add dst) targets);
   Hashtbl.iter (fun node _ -> add node) t.seed_tbl;
   Hashtbl.iter (fun node _ -> add node) t.sets;
   (match t.sets_base with
@@ -921,15 +905,13 @@ let pp_dot ppf t =
         op.op_args;
       Option.iter (fun out -> Fmt.pf ppf "  %s -> %s;@\n" op_node (location_id out)) op.op_out)
     (ops t);
-  Hashtbl.iter
-    (fun src targets ->
+  iter_flow t (fun src targets ->
       List.iter
         (fun (kind, dst) ->
           match kind with
           | E_direct -> Fmt.pf ppf "  %s -> %s;@\n" (location_id src) (location_id dst)
           | E_cast c -> Fmt.pf ppf "  %s -> %s [label=\"(%s)\"];@\n" (location_id src) (location_id dst) c)
-        targets)
-    t.edges;
+        targets);
   Hashtbl.iter
     (fun parent children ->
       View_set.iter

@@ -59,7 +59,10 @@ val fresh_op :
   op
 
 val add_edge : t -> ?kind:edge_kind -> Node.t -> Node.t -> unit
-(** Idempotent. *)
+(** Idempotent.  Interns both endpoints and records the edge once, in
+    id space: every edge reader ({!succs}, {!locations}, {!pp_dot},
+    {!frozen_flow}) decodes that one store, so the graph shown is the
+    graph solved. *)
 
 val seed : t -> Node.t -> Node.value -> unit
 (** Record an initial value for a location (allocation results, id
@@ -69,32 +72,6 @@ val seed : t -> Node.t -> Node.value -> unit
 val has_top : t -> bool
 (** Did any seed introduce an unknown-id marker?  Such graphs solve
     cold only — the warm guard refuses them. *)
-
-(** {2 Id-level construction (context-keyed extraction)}
-
-    The context-keyed extraction path walks clone bodies entirely in id
-    space: endpoints are already interned (via {!Intern.ctx_node}), so
-    these variants skip the structural mirrors.  [add_edge_ids] writes
-    only the id-level stores the frozen CSR is built from; the
-    structural [edges] table keeps the context-insensitive skeleton.
-    [seed_id] and [fresh_op_ids] decode back to structural nodes (seeds
-    and op records are rare and must match the inlining path
-    byte-for-byte). *)
-
-val add_edge_ids : t -> ?kind:edge_kind -> int -> int -> unit
-(** [add_edge_ids t src_id dst_id] — idempotent, same dedup key as
-    {!add_edge}. *)
-
-val seed_id : t -> int -> Node.value -> unit
-
-val fresh_op_ids :
-  t ->
-  kind:Framework.Api.kind ->
-  site:Node.site ->
-  recv:int ->
-  args:int list ->
-  out:int option ->
-  op
 
 (** {1 Points-to sets} *)
 
@@ -129,6 +106,13 @@ val tainted_nodes : t -> (Node.t * VS.t) list
 (** Every location with a non-empty taint set, in unspecified order. *)
 
 val succs : t -> Node.t -> (edge_kind * Node.t) list
+(** Flow successors of a location, newest first; [[]] for a location
+    the graph never interned.  Decodes the id store on every call. *)
+
+val succ_table : t -> Node.t -> (edge_kind * Node.t) list
+(** {!succs} for a whole solve: decodes every edge once up front, then
+    answers lookups from a table (the naive engine's propagation).
+    Edges added afterwards are not seen. *)
 
 val seeds : t -> (Node.t * VS.t) list
 
@@ -235,8 +219,8 @@ val reads_roots : op -> bool
 (** {1 Interned ids (interned solver)}
 
     The graph hash-conses every node touched by an edge, seed, or op
-    into a shared {!Intern.t} as it is built, and mirrors the flow
-    edges at the id level.  The interned solver therefore freezes into
+    into a shared {!Intern.t} as it is built, and stores the flow edges
+    at the id level only.  The interned solver therefore freezes into
     CSR arrays with pure integer work — no node is re-hashed at solve
     time. *)
 
@@ -267,7 +251,11 @@ val frozen_flow : t -> flow_csr
     condensation of the direct-edge subgraph.  Cast edges stay out of
     the condensation (they filter); after mapping endpoints through
     [fc_rep], intra-component edges are dropped and the rest deduped
-    into [fc_crow]/[fc_cdst]/[fc_ckind].  Memoized on the edge count:
+    into [fc_crow]/[fc_cdst]/[fc_ckind].  Clone variables
+    ({!Node.is_clone_var}) defined by a single direct edge and written
+    by nothing else are substituted by their predecessor's
+    representative before condensing (their defining edge leaves the
+    condensed CSR, [fc_row]/[fc_edst] keep it).  Memoized on the edge count:
     adding an edge invalidates the snapshot, while nodes minted after
     the freeze (views discovered mid-solve) need no rebuild — they have
     no flow edges and act as singleton components. *)
@@ -316,7 +304,8 @@ val remove_solution_row : t -> Node.t -> unit
 val allocs : t -> Node.alloc_site list
 
 val locations : t -> Node.t list
-(** Every location mentioned by an edge, seed, set, or op. *)
+(** Every location mentioned by an edge, seed, set, or op, without
+    duplicates, in unspecified order. *)
 
 val edge_count : t -> int
 

@@ -146,15 +146,6 @@ type t = {
   rids : Rid_pool.t;  (** raw resource int <-> dense rid symbol *)
   value2view : iarr;  (** value id -> view id when the value is a [V_view], else -1 *)
   view2value : iarr;  (** view id -> id of its [V_view] wrapping (always set) *)
-  ctx_fwd : (int, int) Hashtbl.t;
-      (** context dimension: packed ⟨base node id, ctx⟩ -> id of the
-          context clone of the base node.  Clones live in the ordinary
-          node pool (they ARE the [$ctx]-renamed variables), so every
-          decoder, snapshot and materialization loop covers them with
-          no extra machinery; this table only makes the second and
-          later sightings of a pair an int-keyed hit instead of a
-          string allocation plus a node hash. *)
-  ctx_seen : (int, unit) Hashtbl.t;  (** distinct contexts that minted at least one clone *)
 }
 
 let create () =
@@ -167,8 +158,6 @@ let create () =
     rids = Rid_pool.create ();
     value2view = iarr_create ();
     view2value = iarr_create ();
-    ctx_fwd = Hashtbl.create 64;
-    ctx_seen = Hashtbl.create 16;
   }
 
 (* Values and views intern each other: every view has a canonical
@@ -198,35 +187,6 @@ and view t (w : Node.view_abs) =
       id
 
 let node t n = Node_pool.intern t.nodes n
-
-(* Context clones.  The id is minted by interning the actual renamed
-   node ([name ^ "$" ^ ctx] — '$' cannot occur in source identifiers),
-   so a clone id and the id the inlining path would assign to the same
-   renamed variable are THE SAME pool entry: the materialization naming
-   contract is the mint itself.  The packed key fits comfortably in an
-   OCaml int (node ids < 2^31, contexts < 2^31); only [N_var] bases
-   carry contexts — fields and returns are shared across clones, and a
-   non-var base decays to itself. *)
-(* Every clone id below the table bound reuses one preallocated suffix
-   string; a miss then costs a single concatenation. *)
-let ctx_suffixes = Array.init 1024 (fun i -> "$" ^ string_of_int i)
-
-let ctx_suffix i = if i < 1024 then Array.unsafe_get ctx_suffixes i else "$" ^ string_of_int i
-
-let ctx_node t ~base ~ctx =
-  let key = (base lsl 31) lor ctx in
-  match Hashtbl.find_opt t.ctx_fwd key with
-  | Some id -> id
-  | None ->
-      let id =
-        match Node_pool.get t.nodes base with
-        | Node.N_var (mid, name) ->
-            Node_pool.intern t.nodes (Node.N_var (mid, name ^ ctx_suffix ctx))
-        | Node.N_field _ | Node.N_ret _ -> base
-      in
-      Hashtbl.add t.ctx_fwd key id;
-      if not (Hashtbl.mem t.ctx_seen ctx) then Hashtbl.add t.ctx_seen ctx ();
-      id
 
 (* Non-minting lookups, for demand-side callers (the query engine must
    not pollute a solved state's interner with ids the CSR has never
@@ -273,17 +233,3 @@ let listener_count t = Listener_pool.count t.listeners
 let holder_count t = Holder_pool.count t.holders
 
 let rid_count t = Rid_pool.count t.rids
-
-let ctx_count t = Hashtbl.length t.ctx_seen
-
-let ctx_key_count t = Hashtbl.length t.ctx_fwd
-
-(* Ids minted as renamed clone variables (decayed entries — fields and
-   returns, whose clone key aliases the base id — are excluded).  Only
-   extraction mints these, so membership is a sound "this node can only
-   be written through its flow edges" certificate for the solver's
-   copy-chain substitution: seeds and op outs are checked separately by
-   the caller, and every dynamic push (handler injection, declarative
-   passes) targets structural base nodes. *)
-let ctx_clone_ids t =
-  Hashtbl.fold (fun key id acc -> if id <> key lsr 31 then id :: acc else acc) t.ctx_fwd []

@@ -38,16 +38,6 @@ val view : t -> Node.view_abs -> int
 
 val node : t -> Node.t -> int
 
-val ctx_node : t -> base:int -> ctx:int -> int
-(** The context clone of node [base] under context [ctx] (a clone
-    number > 0): the id of the [N_var (mid, name ^ "$" ^ ctx)] node the
-    inlining path would have interned for the same clone.  Clones live
-    in the ordinary node pool — decoders, snapshots and materialization
-    need no special handling — and repeat sightings of a ⟨base, ctx⟩
-    pair resolve through a packed int-keyed cache with no string
-    allocation.  Non-[N_var] bases (fields, returns) are
-    context-insensitive and decay to [base]. *)
-
 val listener : t -> Node.listener_abs * string -> int
 (** Listener entries are keyed by (abstraction, interface name). *)
 
@@ -108,18 +98,3 @@ val listener_count : t -> int
 val holder_count : t -> int
 
 val rid_count : t -> int
-
-val ctx_count : t -> int
-(** Distinct contexts (clone numbers) that minted at least one context
-    clone via {!ctx_node}. *)
-
-val ctx_key_count : t -> int
-(** Distinct ⟨node, ctx⟩ keys interned via {!ctx_node}. *)
-
-val ctx_clone_ids : t -> int list
-(** Node ids minted by {!ctx_node} as renamed clone variables (decayed
-    field/return keys excluded).  These ids are only ever written
-    through their static flow edges, seeds, or op outputs — never by
-    handler injection or the declarative passes, which target
-    structural base nodes — so the solver may substitute single-pred
-    members away.  Unordered. *)

@@ -28,8 +28,6 @@ type solver_row = {
   sv_union_calls : int;
   sv_scc_count : int;
   sv_largest_scc : int;
-  sv_ctx_count : int;  (** contexts minted by the context-keyed extraction *)
-  sv_ctx_keys : int;  (** distinct ⟨node, ctx⟩ keys interned *)
   sv_warm : bool;  (** solved by the incremental (warm) path *)
   sv_dirty_comps : int;  (** components re-solved by a warm solve *)
   sv_reused_comps : int;  (** components restored by aliasing *)
@@ -136,8 +134,6 @@ let solver_stats (r : Analysis.t) =
     sv_union_calls = stats.Solve.union_calls;
     sv_scc_count = stats.Solve.scc_count;
     sv_largest_scc = stats.Solve.largest_scc;
-    sv_ctx_count = stats.Solve.ctx_count;
-    sv_ctx_keys = stats.Solve.ctx_keys;
     sv_warm = stats.Solve.warm_solve;
     sv_dirty_comps = stats.Solve.dirty_comps;
     sv_reused_comps = stats.Solve.reused_comps;

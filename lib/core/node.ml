@@ -47,6 +47,28 @@ type t = N_var of mid * string | N_field of string | N_ret of mid
 
 let class_of_view = function V_infl i -> i.v_cls | V_alloc a -> a.a_cls
 
+(* Clone [n] of local [x] is named ["x#n"].  The lexer rejects '#' in
+   identifiers, so no source local can take a clone's name.  The
+   suffixes recur across every context-sensitive extraction; the table
+   keeps the inliner's hot path an array read. *)
+let clone_suffixes = Array.init 1024 (fun i -> "#" ^ string_of_int i)
+
+let clone_var name n =
+  name ^ if n < 1024 then Array.unsafe_get clone_suffixes n else "#" ^ string_of_int n
+
+(* Backward scan: most names end in a letter, so a non-clone is
+   rejected after one character. *)
+let is_clone_var name =
+  let last = String.length name - 1 in
+  let rec scan i =
+    i >= 0
+    && match String.unsafe_get name i with
+       | '0' .. '9' -> scan (i - 1)
+       | '#' -> i < last
+       | _ -> false
+  in
+  scan last
+
 (* The implicit options-menu object of an activity (menu extension).
    Both the static analysis and the dynamic semantics construct this
    same structural site, keeping abstractions aligned; "<options-menu>"

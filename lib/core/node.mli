@@ -85,6 +85,19 @@ type t =
 
 val class_of_view : view_abs -> string
 
+(** {1 Clone variables}
+
+    Context-sensitive extraction inlines a callee body once per call
+    site and renames each callee local per clone. *)
+
+val clone_var : string -> int -> string
+(** [clone_var x n] is the name of local [x] in clone [n]: ["x#n"].
+    The lexer rejects ['#'] in identifiers, so a clone never collides
+    with a source local. *)
+
+val is_clone_var : string -> bool
+(** Was this local name minted by {!clone_var}? *)
+
 val menu_site : string -> alloc_site
 (** The implicit options-menu object of the named activity class (menu
     extension); a synthetic allocation site shared by the static

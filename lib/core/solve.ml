@@ -8,11 +8,6 @@ type stats = {
   union_calls : int;  (** word-level bitset union calls on direct edges (interned solver, else 0) *)
   scc_count : int;  (** direct-edge flow SCCs at freeze time (interned solver, else 0) *)
   largest_scc : int;  (** members in the largest direct-edge SCC (interned solver, else 0) *)
-  ctx_count : int;
-      (** distinct call-string contexts (clone numbers) minted by the
-          context-keyed extraction (interned solver with
-          [inline_depth > 0], else 0) *)
-  ctx_keys : int;  (** distinct ⟨node, ctx⟩ keys interned (ditto) *)
   warm_solve : bool;  (** solved incrementally from a previous solution *)
   dirty_comps : int;  (** condensation components invalidated by the edit script (warm solves) *)
   reused_comps : int;  (** components whose solution sets were restored by aliasing (warm solves) *)
@@ -38,6 +33,7 @@ type state = {
   config : Config.t;
   app : Framework.App.t;
   graph : Graph.t;
+  succs : Node.t -> (Graph.edge_kind * Node.t) list;  (** {!Graph.succ_table}, built once per solve *)
   worklist : Node.t Util.Worklist.t;
   mutable propagations : int;
   mutable op_applications : int;
@@ -71,7 +67,7 @@ let propagate_full state =
               if passes && Graph.add_value state.graph dst value then
                 Util.Worklist.add state.worklist dst)
             values)
-        (Graph.succs state.graph node))
+        (state.succs node))
 
 (* Values at the argument location of an op, view-id constants only. *)
 let view_ids_at state node =
@@ -1784,8 +1780,6 @@ let istats st ~iterations ~warm_solve ~dirty_comps ~reused_comps ~fallback =
     union_calls = st.iunion_calls;
     scc_count = st.iscc_count;
     largest_scc = st.ilargest_scc;
-    ctx_count = Intern.ctx_count st.it;
-    ctx_keys = Intern.ctx_key_count st.it;
     warm_solve;
     dirty_comps;
     reused_comps;
@@ -2149,8 +2143,7 @@ let icapture st ?carry_map ?fps ?seeds ?reuse_ops ~config ~(app : Framework.App.
    (the [has_top] guard).
 
    The pass propagates over the FULL frozen flow CSR
-   ([fc_row]/[fc_edst]), not the structural edge list: context-keyed
-   clone constraints exist only at the id level.  Taint is an invariant
+   ([fc_row]/[fc_edst]), the graph's one edge store.  Taint is an invariant
    subset of the solution ([taint n ⊆ set n]), maintained by the
    membership guard in [add].
 
@@ -2346,14 +2339,13 @@ let warm_guard prev config (app : Framework.App.t) graph =
        and the taint plane would have to be re-derived anyway.  Sound
        mode always re-solves from scratch. *)
     Some "unknown-id markers present: sound mode is not warm-startable"
-  else if Config.context_keyed config then
-    (* Context-keyed graphs carry their clone constraints only in the
-       id-level stores, so the structural shape diff cannot see them —
-       and clone numbers are minted per extraction, so a patched app
-       renumbers ⟨node, ctx⟩ keys wholesale.  A cs snapshot therefore
-       always re-solves from scratch; test_incremental pins that this
-       fallback stays bit-identical. *)
-    Some "context-keyed solve: clone constraints are invisible to the shape diff"
+  else if config.Config.inline_depth > 0 then
+    (* Clone numbers are minted per extraction in walk order, so a
+       patch anywhere before a call site renumbers every later clone:
+       the shape diff would see renamed nodes, not edits.  A cs solve
+       therefore always re-solves from scratch; test_incremental pins
+       that this fallback stays bit-identical. *)
+    Some "context-sensitive solve: clone numbers are minted per extraction"
   else if class_fp app <> prev.sd_class_fp then Some "class hierarchy changed"
   else if
     (not (app.Framework.App.package == prev.sd_package)) && layout_fp app <> prev.sd_layout_fp
@@ -2814,6 +2806,7 @@ let run config (app : Framework.App.t) graph =
           config;
           app;
           graph;
+          succs = Graph.succ_table graph;
           worklist = Util.Worklist.create ();
           propagations = 0;
           op_applications = 0;
@@ -2832,8 +2825,6 @@ let run config (app : Framework.App.t) graph =
         union_calls = 0;
         scc_count = 0;
         largest_scc = 0;
-        ctx_count = 0;
-        ctx_keys = 0;
         warm_solve = false;
         dirty_comps = 0;
         reused_comps = 0;

@@ -29,14 +29,6 @@ type stats = {
       (** member count of the largest direct-edge SCC — every cycle
           this size collapses to one shared bitset; [0] under the naive
           engine *)
-  ctx_count : int;
-      (** distinct call-string contexts (clone numbers) minted by the
-          context-keyed extraction; [0] under the naive engine or
-          without context sensitivity *)
-  ctx_keys : int;
-      (** distinct ⟨node, ctx⟩ keys interned by the context-keyed
-          extraction (the id-space footprint context sensitivity added);
-          [0] likewise *)
   warm_solve : bool;
       (** the solution was reached by the incremental (warm) path:
           previous component solutions restored, only dirty components
@@ -203,7 +195,9 @@ val run_incremental :
     reuse its seed pairs instead of re-deriving them from the graph.
     Falls back to {!run_solved} (with [stats.fallback] set) when the
     warm guard refuses: different interner, changed configuration,
-    changed class hierarchy, or changed layout resources.  Not
+    unknown-id markers, context sensitivity ([inline_depth > 0]: clone
+    numbers are minted per extraction), changed class hierarchy, or
+    changed layout resources.  Not
     thread-safe against concurrent solves sharing the interner. *)
 
 val warm_guard : solved -> Config.t -> Framework.App.t -> Graph.t -> string option

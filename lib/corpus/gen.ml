@@ -732,9 +732,9 @@ let random_cyclic_app ?(name = "Cyclic") rng =
    Many call sites dispatch DISTINCT views through a handful of shared
    small helper methods.  Context-insensitively each helper's parameter
    merges every caller's view, so the result flowing back to each call
-   site carries the whole group's views; with inlining-based or
-   context-keyed separation (Config.inline_depth > 0) each site keeps
-   exactly its own.  The per-site results feed [setId] operations, so
+   site carries the whole group's views; with inlining-based
+   separation (Config.inline_depth > 0) each site keeps exactly its
+   own.  The per-site results feed [setId] operations, so
    the merge shows up directly in Table 2's average receiver set size.
    Groups alternate between single-hop helpers (separated already at
    depth 1) and two-hop helpers whose inner call only separates at

@@ -110,6 +110,15 @@ let stmt_of_json j =
       | _ -> Error ("unknown statement tag " ^ tag))
   | _ -> Error "statement: expected a single-field object"
 
+(* A local spelled like an inliner clone ([Node.clone_var]) would alias
+   that clone and pass the solver's clone-substitution certificate.
+   Source text cannot spell one (the lexer rejects '#'); neither may a
+   patch. *)
+let check_vars vars =
+  match List.find_opt Gator.Node.is_clone_var vars with
+  | Some x -> Error (x ^ ": clone variable names are reserved")
+  | None -> Ok ()
+
 let edit_of_json j =
   let* tag = str_field "edit" j in
   match tag with
@@ -129,6 +138,7 @@ let edit_of_json j =
       let* arity = int_field "arity" j in
       let* sj = field "stmt" j in
       let* stmt = stmt_of_json sj in
+      let* () = check_vars (Jir.Ast.stmt_vars stmt) in
       Ok (Add_stmt { cls; meth; arity; stmt })
   | "add_method" ->
       let* cls = str_field "cls" j in
@@ -141,6 +151,7 @@ let edit_of_json j =
       let* body =
         match bj with Util.Json.List l -> map_m stmt_of_json l | _ -> Error "body: expected a list"
       in
+      let* () = check_vars (params @ List.concat_map Jir.Ast.stmt_vars body) in
       Ok (Add_method { cls; name; params; body })
   | _ -> Error ("unknown edit tag " ^ tag)
 

@@ -13,7 +13,9 @@
     v}
 
     Statements use a one-field-object encoding mirroring
-    {!Jir.Ast.stmt}; see the implementation header for the full list. *)
+    {!Jir.Ast.stmt}; see the implementation header for the full list.
+    Local and parameter names of the inliner's clone form
+    ({!Gator.Node.is_clone_var}, e.g. ["v#1"]) are rejected. *)
 
 type edit =
   | Rename_view_id of { from_ : string; to_ : string }

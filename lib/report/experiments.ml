@@ -182,7 +182,7 @@ let solver_stats results =
   let header =
     [
       "App"; "solver"; "mode"; "ops"; "rounds"; "op applies"; "naive equiv"; "saved";
-      "propagations"; "values"; "set words"; "unions"; "sccs"; "max scc"; "ctxs"; "ctx keys";
+      "propagations"; "values"; "set words"; "unions"; "sccs"; "max scc";
     ]
   in
   let rows =
@@ -222,8 +222,6 @@ let solver_stats results =
               (if s.sv_union_calls = 0 then "-" else Table.cell_int s.sv_union_calls);
               (if s.sv_scc_count = 0 then "-" else Table.cell_int s.sv_scc_count);
               (if s.sv_scc_count = 0 then "-" else Table.cell_int s.sv_largest_scc);
-              (if s.sv_ctx_count = 0 then "-" else Table.cell_int s.sv_ctx_count);
-              (if s.sv_ctx_keys = 0 then "-" else Table.cell_int s.sv_ctx_keys);
             ])
       results
   in
@@ -389,7 +387,7 @@ let context_precision () =
       ("XBMC", Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "XBMC")));
     ]
   in
-  let header = [ "App"; "config"; "avg recv"; "avg res"; "recv shrink"; "ctxs"; "ctx keys" ] in
+  let header = [ "App"; "config"; "avg recv"; "avg res"; "recv shrink" ] in
   let rows =
     List.concat_map
       (fun (name, app) ->
@@ -398,7 +396,6 @@ let context_precision () =
           (fun (label, config) ->
             let r = Gator.Analysis.analyze ~config app in
             let t2 = Gator.Metrics.table2 r in
-            let s = Gator.Metrics.solver_stats r in
             let recv = Option.value t2.t2_receivers ~default:0.0 in
             if label = "ci" then base := recv;
             [
@@ -408,16 +405,13 @@ let context_precision () =
               Table.cell_float t2.t2_results;
               (if label = "ci" then "-"
                else Printf.sprintf "%.1fx" (!base /. Float.max 1e-9 recv));
-              (if s.sv_ctx_count = 0 then "-" else Table.cell_int s.sv_ctx_count);
-              (if s.sv_ctx_keys = 0 then "-" else Table.cell_int s.sv_ctx_keys);
             ])
           configs)
       apps
   in
   "Context-sensitivity precision: average solution-set sizes vs the context-insensitive\n\
    baseline (alias-heavy apps dispatch every site through shared helpers, so \"recv shrink\"\n\
-   is the receiver-set deflation bought by inlining depth; ctxs/ctx keys are minted by the\n\
-   context-keyed interned engine)\n"
+   is the receiver-set deflation bought by inlining depth)\n"
   ^ Table.render ~header rows
 
 (* Precision companion to Table 2: how much of the solution space the

@@ -100,8 +100,7 @@ val context_precision : unit -> string
 (** Beyond-paper: precision delta of inlining-based context
     sensitivity — average receiver/result solution-set sizes at
     inline depths 0/1/2 on the alias-heavy family (built so shared
-    helpers merge whole call groups without inlining) and on XBMC,
-    with the context-keyed engine's minted context counts. *)
+    helpers merge whole call groups without inlining) and on XBMC. *)
 
 val top_pollution : unit -> string
 (** Beyond-paper: the precision column sound mode adds next to

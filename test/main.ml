@@ -22,7 +22,7 @@ let () =
       ("engines", Test_engines.suite);
       ("intern", Test_intern.suite);
       ("intern-lookup", Test_intern.lookup_suite);
-      ("ctx-keyed", Test_ctx_keyed.suite);
+      ("cs-inline", Test_cs_inline.suite);
       ("incremental", Test_incremental.suite);
       ("query", Test_query.suite);
       ("server", Test_server.suite);

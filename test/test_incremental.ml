@@ -294,15 +294,14 @@ let test_snapshot_retired_solver () =
         "warm guard accepts" None
         (Solve.warm_guard loaded Config.default app graph)
 
-(* Context-keyed context sensitivity and warm starts: clone
-   constraints live only in the id-level stores, so the structural
-   shape diff cannot see them and the warm guard must refuse — the
-   documented fallback-to-full-solve path for cs snapshots.  The
-   fallback, including across a snapshot round-trip of the keyed
-   solved state, stays bit-identical to a cold cs solve. *)
-let test_ctx_keyed_falls_back () =
+(* Context sensitivity and warm starts: clone numbers are minted per
+   extraction, so a patch renumbers later clones and the warm guard
+   must refuse — the documented fallback-to-full-solve path for cs
+   snapshots.  The fallback, including across a snapshot round-trip of
+   the cs solved state, stays bit-identical to a cold cs solve. *)
+let test_cs_falls_back () =
   let config = { Config.default with inline_depth = 2 } in
-  (* identity warm request on an app that actually mints contexts
+  (* identity warm request on an app that actually clones callees
      (the cyclic app has no inlinable app-level calls): refused but
      identical *)
   let alias = Corpus.Gen.alias_heavy_app ~groups:3 ~sites_per_group:3 ~seed:7 () in
@@ -310,11 +309,15 @@ let test_ctx_keyed_falls_back () =
   let warm, _ = Incremental.analyze_incremental ~config ~prev:solved_alias alias in
   Alcotest.check Alcotest.bool "fell back" true (warm.stats.Solve.fallback <> None);
   Alcotest.check Alcotest.bool "not warm" false warm.stats.Solve.warm_solve;
-  Alcotest.check Alcotest.bool "contexts reported" true (warm.stats.Solve.ctx_count > 0);
+  Alcotest.check
+    Alcotest.(option string)
+    "fallback reason"
+    (Some "context-sensitive solve: clone numbers are minted per extraction")
+    warm.stats.Solve.fallback;
   check_same_solution ~msg:"cs identity fallback" (Analysis.analyze ~config alias) warm;
   let app = inc_app () in
   let _, solved = Incremental.analyze_solved ~config app in
-  (* keyed solved state round-trips (clone nodes are ordinary pool
+  (* the cs solved state round-trips (clone nodes are ordinary pool
      entries), and a warm request against the loaded state is again a
      clean full solve of the patched app *)
   let path = Filename.temp_file "gator_snap_cs" ".json" in
@@ -427,7 +430,7 @@ let suite =
     Alcotest.test_case "snapshot from an earlier build" `Quick test_snapshot_earlier_build;
     Alcotest.test_case "snapshot from the retired delta solver" `Quick test_snapshot_retired_solver;
     Alcotest.test_case "fallback surfaced in stats" `Quick test_fallback_surfaced;
-    Alcotest.test_case "context-keyed cs falls back" `Quick test_ctx_keyed_falls_back;
+    Alcotest.test_case "cs solve falls back" `Quick test_cs_falls_back;
     QCheck_alcotest.to_alcotest qcheck_warm_equals_cold;
     QCheck_alcotest.to_alcotest qcheck_snapshot_roundtrip;
   ]

@@ -119,8 +119,8 @@ let test_corpus_matrix () =
     List.map
       (fun solver -> (Config.solver_name solver, with_solver solver Config.default))
       [ Config.Naive; Config.Interned ]
-    (* context-keyed cs-2 must be deterministic across schedules too *)
-    @ [ ("keyed-cs2", { Config.default with inline_depth = 2 }) ]
+    (* interned cs-2 must be deterministic across schedules too *)
+    @ [ ("interned-cs2", { Config.default with inline_depth = 2 }) ]
   in
   List.iter
     (fun (tag, config) ->
@@ -154,8 +154,8 @@ let test_random_matrix () =
               reference candidate)
           outcomes)
       [ 2; 4 ];
-    (* the cs-2 pair through the same schedules: pooled context-keyed
-       and pooled inlining (naive) runs against a sequential naive cs-2 *)
+    (* the cs-2 pair through the same schedules: pooled naive and
+       interned runs against a sequential naive cs-2 *)
     let cs2 solver () =
       Analysis.analyze
         ~config:{ (with_solver solver Config.default) with inline_depth = 2 }
@@ -251,8 +251,8 @@ let test_batch_determinism () =
     [
       Config.default;
       { Config.default with inline_depth = 1 };
-      (* context-keyed cs-2: clone numbering and ⟨node, ctx⟩ minting
-         must not depend on the schedule either *)
+      (* cs-2: clone numbering must not depend on the schedule
+         either *)
       { Config.default with inline_depth = 2 };
     ]
 

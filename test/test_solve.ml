@@ -321,6 +321,32 @@ let test_context_sensitivity_recursion_safe () =
   in
   Alcotest.check Alcotest.bool "terminates" true (r.stats.iterations >= 1)
 
+(* The lexer accepts '$' in identifiers, so a clone separator must be a
+   character it rejects: otherwise the source local [v$1] is the same
+   node as clone 1 of [v], and the ImageView leaks into [r1]. *)
+let test_clone_names_are_fresh () =
+  let code =
+    {|class A extends Activity {
+        method onCreate(): void { x = new Button(); h = new Helper(); r1 = h.deco(x); } }
+      class Helper {
+        method deco(v: View): View { v$1 = new ImageView(); return v; } }|}
+  in
+  List.iter
+    (fun (label, config) ->
+      check_classes (label ^ ": r1") [ "Button" ] (views (analyze ~config code) "A" "onCreate" 0 "r1"))
+    [
+      ("ci", Config.default);
+      ("cs-1 naive", { Config.default with inline_depth = 1; solver = Config.Naive });
+      ("cs-1 interned", { Config.default with inline_depth = 1; solver = Config.Interned });
+    ];
+  (* neither source text nor a patch can spell a clone name *)
+  Alcotest.check Alcotest.bool "lexer rejects '#'" true
+    (match Jir.Lexer.tokenize "v#1" with exception Jir.Lexer.Lex_error _ -> true | _ -> false);
+  Alcotest.check Alcotest.bool "patch rejects clone names" true
+    (Result.is_error
+       (Corpus.Patch.of_string
+          {|[{"edit":"add_stmt","cls":"A","meth":"onCreate","arity":0,"stmt":{"new":["v#1","Button"]}}]|}))
+
 let test_activity_transitions () =
   let r =
     analyze
@@ -722,6 +748,8 @@ let suite =
       test_context_sensitivity_same_population;
     Alcotest.test_case "context sensitivity bounded on recursion" `Quick
       test_context_sensitivity_recursion_safe;
+    Alcotest.test_case "clone names never collide with source locals" `Quick
+      test_clone_names_are_fresh;
     Alcotest.test_case "re-analysis is deterministic" `Quick test_idempotent_reanalysis;
     Alcotest.test_case "interprocedural flow through fields" `Quick test_resolve_through_fields_interprocedural;
   ]
