@@ -637,6 +637,9 @@ let run_benchmarks () =
   rows
 
 let () =
+  (* Solver warnings (e.g. the iteration cap) go to stderr. *)
+  Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
+  Logs.set_level (Some Logs.Warning);
   print_reproduction ();
   let corpus_batch = corpus_head_to_head () in
   let engines = engine_head_to_head () in

@@ -8,6 +8,9 @@
    dynamic semantics as the "exploration", and reports coverage. *)
 
 let () =
+  (* Solver warnings (e.g. the iteration cap) go to stderr. *)
+  Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
+  Logs.set_level (Some Logs.Warning);
   let name = match Sys.argv with [| _; n |] -> n | _ -> "ConnectBot" in
   let app =
     match Corpus.Apps.by_name name with

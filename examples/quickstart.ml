@@ -17,6 +17,9 @@ let show r name node = Fmt.pr "%-28s = {%a}@." name
     (Gator.Analysis.views_at r node)
 
 let () =
+  (* Solver warnings (e.g. the iteration cap) go to stderr. *)
+  Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
+  Logs.set_level (Some Logs.Warning);
   let app = Corpus.Connectbot.app () in
   let r = Gator.Analysis.analyze app in
   Fmt.pr "%a@.@." Gator.Analysis.pp_summary r;

@@ -84,6 +84,9 @@ let sensitive_id name =
     [ "password"; "pass"; "pin"; "secret" ]
 
 let () =
+  (* Solver warnings (e.g. the iteration cap) go to stderr. *)
+  Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
+  Logs.set_level (Some Logs.Warning);
   let app =
     match Framework.App.of_source ~name:"Security" ~code ~layouts with
     | Ok app -> app

@@ -97,6 +97,9 @@ let layouts =
   ]
 
 let () =
+  (* Solver warnings (e.g. the iteration cap) go to stderr. *)
+  Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
+  Logs.set_level (Some Logs.Warning);
   let app =
     match Framework.App.of_source ~name:"WidgetsTour" ~code ~layouts with
     | Ok app -> app

@@ -64,14 +64,30 @@ type flow_csr = {
   fc_largest_scc : int;
 }
 
-(* Which view relations grew since the last [take_rel_changes]. *)
-type rel_changes = {
-  rc_children : bool;
-  rc_ids : bool;
-  rc_roots : bool;
-  rc_onclick : bool;
-  rc_fragments : bool;
+(* The solved state, over interner ids: the engines' own rows, handed
+   over wholesale.  Row arrays may be longer than the ids in use (slot
+   capacity); ids past an array's end have an empty row, and node ids
+   past [sol_rep]'s end are their own representatives. *)
+type solution = {
+  sol_rep : int array;
+  sol_values : Util.Bitset.t option array;
+  sol_children : Util.Bitset.t option array;
+  sol_parents : Util.Bitset.t option array;
+  sol_ids : Util.Bitset.t option array;
+  sol_roots : Util.Bitset.t option array;
+  sol_listeners : Util.Bitset.t option array;
 }
+
+let no_solution =
+  {
+    sol_rep = [||];
+    sol_values = [||];
+    sol_children = [||];
+    sol_parents = [||];
+    sol_ids = [||];
+    sol_roots = [||];
+    sol_listeners = [||];
+  }
 
 type t = {
   g_it : Intern.t;
@@ -92,40 +108,23 @@ type t = {
   edge_seen : unit Edge_seen.t;
   mutable edge_total : int;
   seed_tbl : (Node.t, VS.t) Hashtbl.t;
-  mutable sets : (Node.t, VS.t) Hashtbl.t;
-  mutable sets_base : (Node.t, VS.t) Hashtbl.t option;
-      (** read-only donor layer under [sets], adopted by warm
-          materialisation: lookups fall through to it, writes land in
-          [sets], removals leave a tombstone in [sets_dead] — O(1) to
-          adopt a previous solve's table instead of O(app) to copy it *)
-  sets_dead : (Node.t, unit) Hashtbl.t;
-      (** base-layer rows deleted from this graph's view *)
+  mutable sol : solution;  (** the graph's only solution store *)
   mutable op_list : op list;  (** reversed creation order *)
   mutable alloc_list : Node.alloc_site list;  (** reversed creation order *)
   alloc_seen : unit Alloc_seen.t;
-  mutable children_tbl : (Node.view_abs, View_set.t) Hashtbl.t;
-  mutable parents_tbl : (Node.view_abs, View_set.t) Hashtbl.t;
-  mutable ids_tbl : (Node.view_abs, Int_set.t) Hashtbl.t;
-  mutable roots_tbl : (Node.holder, View_set.t) Hashtbl.t;
-  mutable listeners_tbl : (Node.view_abs, Listener_set.t) Hashtbl.t;
   root_layout_tbl : (Node.view_abs, Int_set.t) Hashtbl.t;
   inflations : (Node.site * string, Node.view_abs list) Hashtbl.t;
   transitions_tbl : (string * string, unit) Hashtbl.t;  (** activity transition edges *)
   onclick_tbl : (Node.view_abs, String_set.t) Hashtbl.t;  (** android:onClick handler names *)
   declared_fragments_tbl : (Node.view_abs, String_set.t) Hashtbl.t;  (** <fragment> classes *)
-  mutable rc_children : bool;
-  mutable rc_ids : bool;
-  mutable rc_roots : bool;
-  mutable rc_onclick : bool;
-  mutable rc_fragments : bool;
   mutable g_has_top : bool;
       (** some seed introduced an unknown-id marker ([V_layout_top] /
           [V_view_id_top]); the warm guard refuses incremental starts
           over such graphs *)
   mutable taint_tbl : (Node.t, VS.t) Hashtbl.t;
-      (** per-node subset of [sets] reached only through an unknown-id
-          marker (the [imprecise] plane); diagnostic — solving never
-          branches on it *)
+      (** per-node subset of the solution reached only through an
+          unknown-id marker (the [imprecise] plane); diagnostic —
+          solving never branches on it *)
 }
 
 (* [?interner] lets an incremental re-extraction mint ids in a
@@ -143,27 +142,15 @@ let create ?interner () =
     edge_seen = Edge_seen.create 256;
     edge_total = 0;
     seed_tbl = Hashtbl.create 128;
-    sets = Hashtbl.create 256;
-    sets_base = None;
-    sets_dead = Hashtbl.create 16;
+    sol = no_solution;
     op_list = [];
     alloc_list = [];
     alloc_seen = Alloc_seen.create 64;
-    children_tbl = Hashtbl.create 64;
-    parents_tbl = Hashtbl.create 64;
-    ids_tbl = Hashtbl.create 64;
-    roots_tbl = Hashtbl.create 16;
-    listeners_tbl = Hashtbl.create 32;
     root_layout_tbl = Hashtbl.create 16;
     inflations = Hashtbl.create 16;
     transitions_tbl = Hashtbl.create 16;
     onclick_tbl = Hashtbl.create 16;
     declared_fragments_tbl = Hashtbl.create 16;
-    rc_children = false;
-    rc_ids = false;
-    rc_roots = false;
-    rc_onclick = false;
-    rc_fragments = false;
     g_has_top = false;
     taint_tbl = Hashtbl.create 16;
   }
@@ -365,8 +352,8 @@ let build_condensed n row edst ekind rep =
    the condensed CSR.  Inlining mass-produces exactly this shape (recv
    → this#n, arg → param#n, $ret#n → out), so the solve over the
    cloned graph collapses back towards the context-insensitive size.
-   Materialisation still installs every clone node (from the shared
-   root set), so the solution is unchanged.  Without context
+   Every clone node still reads its root's row through the rep map,
+   so the solution is unchanged.  Without context
    sensitivity no node carries a clone name and this is skipped. *)
 let clone_subst t n row edst ekind =
   let clone_ids = ref [] in
@@ -500,7 +487,7 @@ let build_frozen_flow t =
         let rep, scc_count, largest = condense_direct n row2 edst2 ekind2 in
         let crow, cdst, ckind = build_condensed n row2 edst2 ekind2 rep in
         (* Substituted nodes alias their root's component: reads, op
-           scheduling and materialisation all go through [fc_rep], so
+           scheduling and the graph's row decoders all go through [fc_rep], so
            the aliasing is invisible outside the solver core.  They are
            not real components — keep the count honest. *)
         Array.iteri (fun i r -> if r <> i then rep.(i) <- rep.(r)) sub;
@@ -539,53 +526,103 @@ let frozen_flow t =
 
 let ops_node_ids t = Array.of_list (List.rev t.iop_ids)
 
-let set_of t node =
-  match Hashtbl.find_opt t.sets node with
-  | Some vs -> vs
-  | None -> (
-      match t.sets_base with
-      | Some base when not (Hashtbl.mem t.sets_dead node) ->
-          Option.value (Hashtbl.find_opt base node) ~default:VS.empty
-      | _ -> VS.empty)
+(* ------------------------------------------------------------------ *)
+(* The solution store.  Engines hand their final rows over wholesale
+   ([set_solution]); every reader below decodes those rows on demand,
+   through non-minting interner lookups, so reading a solved graph
+   never grows its interner. *)
 
-let add_value t node value =
-  let existing = set_of t node in
-  (* [Set.add] returns the argument physically when the element is
-     already present: one traversal does membership test and insert. *)
-  let updated = VS.add value existing in
-  if updated == existing then false
-  else begin
-    Hashtbl.replace t.sets node updated;
-    true
-  end
+let set_solution t sol = t.sol <- sol
 
-(* Taint plane: the subset of [sets t node] whose membership was
-   justified (transitively) by an unknown-id marker.  Maintained by the
-   solvers alongside the value sets; [add_taint] does not require the
-   value to be present yet — engines may taint before the
-   value lands, and the invariant taint ⊆ set holds at fixpoint. *)
-let add_taint t node value =
-  let existing = Option.value (Hashtbl.find_opt t.taint_tbl node) ~default:VS.empty in
-  let updated = VS.add value existing in
-  if updated == existing then false
-  else begin
-    Hashtbl.replace t.taint_tbl node updated;
-    true
-  end
+let row rows i = if i >= 0 && i < Array.length rows then rows.(i) else None
 
+let value_row t nid =
+  let rep = if nid < Array.length t.sol.sol_rep then t.sol.sol_rep.(nid) else nid in
+  row t.sol.sol_values rep
+
+let node_row t node =
+  match Intern.find_node t.g_it node with Some nid -> value_row t nid | None -> None
+
+let view_row t rows view =
+  match Intern.find_view t.g_it view with Some wid -> row rows wid | None -> None
+
+let decode_rows (type s elt) (module S : Set.S with type t = s and type elt = elt) decode = function
+  | None -> S.empty
+  | Some b -> Util.Bitset.fold (fun i acc -> S.add (decode i) acc) b S.empty
+
+let view_set t b = decode_rows (module View_set) (Intern.view_of t.g_it) b
+
+let set_of t node = decode_rows (module VS) (Intern.value_of t.g_it) (node_row t node)
+
+(* Newest-first over [compare_view], as folding the decoded set would
+   give, without building the set. *)
+let views_of t node =
+  match node_row t node with
+  | None -> []
+  | Some b ->
+      Util.Bitset.fold
+        (fun vid acc ->
+          let wid = Intern.view_of_value_id t.g_it vid in
+          if wid >= 0 then Intern.view_of t.g_it wid :: acc else acc)
+        b []
+      |> List.sort (fun a b -> Node.compare_view b a)
+
+let children_of t view = view_set t (view_row t t.sol.sol_children view)
+
+let parents_of t view = view_set t (view_row t t.sol.sol_parents view)
+
+(* Breadth-first over the children rows in id space; the abstract
+   relation may be cyclic, so [visited] bounds the walk. *)
+let descendants t ~include_self view =
+  match Intern.find_view t.g_it view with
+  | None -> if include_self then View_set.singleton view else View_set.empty
+  | Some wid ->
+      let visited = Util.Bitset.create () in
+      if include_self then ignore (Util.Bitset.add visited wid);
+      let queue = Queue.create () in
+      Queue.add wid queue;
+      while not (Queue.is_empty queue) do
+        match row t.sol.sol_children (Queue.take queue) with
+        | None -> ()
+        | Some cs -> Util.Bitset.iter (fun c -> if Util.Bitset.add visited c then Queue.add c queue) cs
+      done;
+      view_set t (Some visited)
+
+let ids_of_view t view =
+  decode_rows (module Int_set) (Intern.rid_of t.g_it) (view_row t t.sol.sol_ids view)
+
+let roots_of_holder t holder =
+  view_set t
+    (match Intern.find_holder t.g_it holder with
+    | Some hid -> row t.sol.sol_roots hid
+    | None -> None)
+
+(* Ids whose row in [rows] is non-empty. *)
+let populated rows f =
+  Array.iteri (fun i o -> match o with Some b when not (Util.Bitset.is_empty b) -> f i | _ -> ()) rows
+
+let holders t =
+  let acc = ref [] in
+  populated t.sol.sol_roots (fun hid -> acc := Intern.holder_of t.g_it hid :: !acc);
+  List.sort Node.compare_holder !acc
+
+let listeners_of_view t view =
+  decode_rows (module Listener_set) (Intern.listener_of t.g_it) (view_row t t.sol.sol_listeners view)
+
+let views_with_listeners t =
+  let acc = ref [] in
+  populated t.sol.sol_listeners (fun wid -> acc := Intern.view_of t.g_it wid :: !acc);
+  !acc
+
+(* Taint plane: the subset of [set_of t node] whose membership was
+   justified (transitively) by an unknown-id marker, written wholesale
+   by the shared post-pass ([Solve.compute_taints]). *)
 let taints_of t node = Option.value (Hashtbl.find_opt t.taint_tbl node) ~default:VS.empty
-
-let is_tainted t node value = VS.mem value (taints_of t node)
 
 let install_taints t node vs =
   if VS.is_empty vs then Hashtbl.remove t.taint_tbl node else Hashtbl.replace t.taint_tbl node vs
 
 let tainted_nodes t = Hashtbl.fold (fun node vs acc -> (node, vs) :: acc) t.taint_tbl []
-
-let views_of t node =
-  VS.fold
-    (fun v acc -> match Node.view_of_value v with Some view -> view :: acc | None -> acc)
-    (set_of t node) []
 
 (* Decoders over the id store.  Decoded lists keep [isuccs]'s
    newest-first order per source: the naive engine propagates in that
@@ -615,25 +652,13 @@ let succ_table t =
 let seeds t = Hashtbl.fold (fun node vs acc -> (node, vs) :: acc) t.seed_tbl []
 
 let reset_sets t =
-  Hashtbl.reset t.sets;
-  t.sets_base <- None;
-  Hashtbl.reset t.sets_dead;
+  t.sol <- no_solution;
   Hashtbl.reset t.taint_tbl;
-  Hashtbl.reset t.children_tbl;
-  Hashtbl.reset t.parents_tbl;
-  Hashtbl.reset t.ids_tbl;
-  Hashtbl.reset t.roots_tbl;
-  Hashtbl.reset t.listeners_tbl;
   Hashtbl.reset t.root_layout_tbl;
   Hashtbl.reset t.inflations;
   Hashtbl.reset t.transitions_tbl;
   Hashtbl.reset t.onclick_tbl;
-  Hashtbl.reset t.declared_fragments_tbl;
-  t.rc_children <- false;
-  t.rc_ids <- false;
-  t.rc_roots <- false;
-  t.rc_onclick <- false;
-  t.rc_fragments <- false
+  Hashtbl.reset t.declared_fragments_tbl
 
 (* Generic set-valued relation update returning whether it grew. *)
 let add_to_set_tbl (type s elt) (module S : Set.S with type t = s and type elt = elt) tbl key v =
@@ -645,67 +670,12 @@ let add_to_set_tbl (type s elt) (module S : Set.S with type t = s and type elt =
     true
   end
 
-let children_of t view = Option.value (Hashtbl.find_opt t.children_tbl view) ~default:View_set.empty
-
-let parents_of t view = Option.value (Hashtbl.find_opt t.parents_tbl view) ~default:View_set.empty
-
-let add_child t ~parent ~child =
-  let grew = add_to_set_tbl (module View_set) t.children_tbl parent child in
-  if grew then begin
-    ignore (add_to_set_tbl (module View_set) t.parents_tbl child parent);
-    t.rc_children <- true
-  end;
-  grew
-
-let descendants t ~include_self view =
-  let visited = ref (if include_self then View_set.singleton view else View_set.empty) in
-  let queue = Queue.create () in
-  Queue.add view queue;
-  while not (Queue.is_empty queue) do
-    let current = Queue.take queue in
-    View_set.iter
-      (fun child ->
-        if not (View_set.mem child !visited) then begin
-          visited := View_set.add child !visited;
-          Queue.add child queue
-        end)
-      (children_of t current)
-  done;
-  !visited
-
-let add_view_id t view id =
-  let grew = add_to_set_tbl (module Int_set) t.ids_tbl view id in
-  if grew then t.rc_ids <- true;
-  grew
-
-let ids_of_view t view = Option.value (Hashtbl.find_opt t.ids_tbl view) ~default:Int_set.empty
-
-let add_holder_root t holder root =
-  let grew = add_to_set_tbl (module View_set) t.roots_tbl holder root in
-  if grew then t.rc_roots <- true;
-  grew
-
-let roots_of_holder t holder = Option.value (Hashtbl.find_opt t.roots_tbl holder) ~default:View_set.empty
-
-let holders t = Hashtbl.fold (fun h _ acc -> h :: acc) t.roots_tbl []
-
-let add_view_listener t view listener ~iface =
-  add_to_set_tbl (module Listener_set) t.listeners_tbl view (listener, iface)
-
-let listeners_of_view t view =
-  Option.value (Hashtbl.find_opt t.listeners_tbl view) ~default:Listener_set.empty
-
-let views_with_listeners t = Hashtbl.fold (fun v _ acc -> v :: acc) t.listeners_tbl []
-
 let add_root_layout t view id = add_to_set_tbl (module Int_set) t.root_layout_tbl view id
 
 let layouts_of_root t view =
   Option.value (Hashtbl.find_opt t.root_layout_tbl view) ~default:Int_set.empty
 
-let add_onclick t view handler =
-  let grew = add_to_set_tbl (module String_set) t.onclick_tbl view handler in
-  if grew then t.rc_onclick <- true;
-  grew
+let add_onclick t view handler = add_to_set_tbl (module String_set) t.onclick_tbl view handler
 
 let onclicks_of t view =
   match Hashtbl.find_opt t.onclick_tbl view with
@@ -715,9 +685,7 @@ let onclicks_of t view =
 let views_with_onclick t = Hashtbl.fold (fun v _ acc -> v :: acc) t.onclick_tbl []
 
 let add_declared_fragment t view cls =
-  let grew = add_to_set_tbl (module String_set) t.declared_fragments_tbl view cls in
-  if grew then t.rc_fragments <- true;
-  grew
+  add_to_set_tbl (module String_set) t.declared_fragments_tbl view cls
 
 let declared_fragments_of t view =
   match Hashtbl.find_opt t.declared_fragments_tbl view with
@@ -756,88 +724,6 @@ let declared_fragment_entries t =
 let root_layout_entries t =
   Hashtbl.fold (fun v s acc -> (v, Int_set.elements s) :: acc) t.root_layout_tbl []
 
-let take_rel_changes t =
-  let c : rel_changes =
-    {
-      rc_children = t.rc_children;
-      rc_ids = t.rc_ids;
-      rc_roots = t.rc_roots;
-      rc_onclick = t.rc_onclick;
-      rc_fragments = t.rc_fragments;
-    }
-  in
-  t.rc_children <- false;
-  t.rc_ids <- false;
-  t.rc_roots <- false;
-  t.rc_onclick <- false;
-  t.rc_fragments <- false;
-  c
-
-(* Solution installation (interned solver): after solving on dense
-   ids, the engine decodes its bitsets and writes the structural
-   tables wholesale, so downstream consumers are engine-agnostic.
-   [reset_solution_tables] clears exactly the tables the id-level
-   stores mirror; the cold relations maintained structurally during
-   interned solving (onclick, declared fragments, root layouts,
-   inflations, transitions) are left untouched. *)
-let reset_solution_tables t =
-  Hashtbl.reset t.sets;
-  t.sets_base <- None;
-  Hashtbl.reset t.sets_dead;
-  Hashtbl.reset t.taint_tbl;
-  Hashtbl.reset t.children_tbl;
-  Hashtbl.reset t.parents_tbl;
-  Hashtbl.reset t.ids_tbl;
-  Hashtbl.reset t.roots_tbl;
-  Hashtbl.reset t.listeners_tbl
-
-let install_set t node vs = Hashtbl.replace t.sets node vs
-
-let install_children t view ws = Hashtbl.replace t.children_tbl view ws
-
-let install_parents t view ws = Hashtbl.replace t.parents_tbl view ws
-
-let install_ids t view ids = Hashtbl.replace t.ids_tbl view ids
-
-let install_roots t holder ws = Hashtbl.replace t.roots_tbl holder ws
-
-let install_listeners t view ls = Hashtbl.replace t.listeners_tbl view ls
-
-(* Warm materialisation: seed [dst]'s solution tables from a previous
-   solve's, then let the caller decode and re-install only the dirty
-   rows.  Per-kind flags skip relations the warm solver rebuilds from
-   scratch (their invalidation was too coarse to patch row-wise).  The
-   copied tables share the immutable set values with [src]. *)
-let copy_solution_tables ~children ~ids ~roots ~listeners ~src dst =
-  (* The points-to table — by far the largest — is adopted as a
-     read-only base layer instead of copied: [dst]'s own writes land in
-     its overlay.  A layered donor is flattened first so layers never
-     chain (a warm-of-warm pays one copy per generation; re-warming
-     from the same donor pays none). *)
-  (match src.sets_base with
-  | Some base ->
-      let flat = Hashtbl.copy base in
-      Hashtbl.iter (fun n () -> Hashtbl.remove flat n) src.sets_dead;
-      Hashtbl.iter (fun n vs -> Hashtbl.replace flat n vs) src.sets;
-      src.sets <- flat;
-      src.sets_base <- None;
-      Hashtbl.reset src.sets_dead
-  | None -> ());
-  dst.sets <- Hashtbl.create 64;
-  dst.sets_base <- Some src.sets;
-  Hashtbl.reset dst.sets_dead;
-  if children then begin
-    dst.children_tbl <- Hashtbl.copy src.children_tbl;
-    dst.parents_tbl <- Hashtbl.copy src.parents_tbl
-  end;
-  if ids then dst.ids_tbl <- Hashtbl.copy src.ids_tbl;
-  if roots then dst.roots_tbl <- Hashtbl.copy src.roots_tbl;
-  if listeners then dst.listeners_tbl <- Hashtbl.copy src.listeners_tbl
-
-let remove_solution_row t node =
-  Hashtbl.remove t.sets node;
-  if Option.is_some t.sets_base then Hashtbl.replace t.sets_dead node ()
-
 let ops t = List.rev t.op_list
 
 let allocs t = List.rev t.alloc_list
@@ -858,30 +744,29 @@ let reads_ids op =
 let reads_roots op =
   match op.site.Node.o_kind with Framework.Api.Find_view | Fragment_add -> true | _ -> false
 
+(* Flow-edge endpoints, seeded nodes, nodes with a solution row, then
+   op nodes — deduplicated by id. *)
 let locations t =
-  let seen = Hashtbl.create 256 in
+  let seen = Util.Bitset.create () in
   let out = ref [] in
-  let add node =
-    if not (Hashtbl.mem seen node) then begin
-      Hashtbl.add seen node ();
-      out := node :: !out
-    end
-  in
-  iter_flow t (fun src targets ->
-      add src;
-      List.iter (fun (_, dst) -> add dst) targets);
-  Hashtbl.iter (fun node _ -> add node) t.seed_tbl;
-  Hashtbl.iter (fun node _ -> add node) t.sets;
-  (match t.sets_base with
-  | Some base ->
-      Hashtbl.iter (fun node _ -> if not (Hashtbl.mem t.sets_dead node) then add node) base
-  | None -> ());
+  let add nid = if Util.Bitset.add seen nid then out := Intern.node_of t.g_it nid :: !out in
+  Array.iteri
+    (fun sid adj ->
+      if adj <> [] then begin
+        add sid;
+        List.iter (fun (_, did) -> add did) adj
+      end)
+    t.isuccs;
+  Hashtbl.iter (fun node _ -> add (node_id t node)) t.seed_tbl;
+  for nid = 0 to Intern.node_count t.g_it - 1 do
+    match value_row t nid with Some b when not (Util.Bitset.is_empty b) -> add nid | _ -> ()
+  done;
   List.iter
-    (fun op ->
-      add op.op_recv;
-      List.iter add op.op_args;
-      Option.iter add op.op_out)
-    t.op_list;
+    (fun (rid, aids, oid) ->
+      add rid;
+      Array.iter add aids;
+      if oid >= 0 then add oid)
+    t.iop_ids;
   !out
 
 let edge_count t = t.edge_total
@@ -889,8 +774,10 @@ let edge_count t = t.edge_total
 (* Graphviz output: locations as ellipses, ops as boxes, views as gray
    boxes (Figure 3/4 style). *)
 let pp_dot ppf t =
+  let it = t.g_it in
   let location_id node = Fmt.str "%S" (Fmt.str "%a" Node.pp node) in
-  let view_id view = Fmt.str "%S" (Fmt.str "%a" Node.pp_view view) in
+  let view_id wid = Fmt.str "%S" (Fmt.str "%a" Node.pp_view (Intern.view_of it wid)) in
+  let rows rows f = Array.iteri (fun i o -> Option.iter (Util.Bitset.iter (f i)) o) rows in
   Fmt.pf ppf "digraph constraint_graph {@\n  rankdir=LR;@\n";
   List.iter
     (fun node -> Fmt.pf ppf "  %s [shape=ellipse];@\n" (location_id node))
@@ -912,31 +799,15 @@ let pp_dot ppf t =
           | E_direct -> Fmt.pf ppf "  %s -> %s;@\n" (location_id src) (location_id dst)
           | E_cast c -> Fmt.pf ppf "  %s -> %s [label=\"(%s)\"];@\n" (location_id src) (location_id dst) c)
         targets);
-  Hashtbl.iter
-    (fun parent children ->
-      View_set.iter
-        (fun child ->
-          Fmt.pf ppf "  %s -> %s [style=dashed,label=child];@\n" (view_id parent) (view_id child))
-        children)
-    t.children_tbl;
-  Hashtbl.iter
-    (fun view ids ->
-      Int_set.iter (fun id -> Fmt.pf ppf "  %s -> \"id:0x%x\" [style=dashed];@\n" (view_id view) id) ids)
-    t.ids_tbl;
-  Hashtbl.iter
-    (fun holder roots ->
-      View_set.iter
-        (fun root ->
-          Fmt.pf ppf "  \"%a\" -> %s [style=dashed,label=root];@\n" Node.pp_holder holder
-            (view_id root))
-        roots)
-    t.roots_tbl;
-  Hashtbl.iter
-    (fun view listeners ->
-      Listener_set.iter
-        (fun (l, iface) ->
-          Fmt.pf ppf "  %s -> \"%a\" [style=dashed,label=\"listener:%s\"];@\n" (view_id view)
-            Node.pp_listener l iface)
-        listeners)
-    t.listeners_tbl;
+  rows t.sol.sol_children (fun parent child ->
+      Fmt.pf ppf "  %s -> %s [style=dashed,label=child];@\n" (view_id parent) (view_id child));
+  rows t.sol.sol_ids (fun view sym ->
+      Fmt.pf ppf "  %s -> \"id:0x%x\" [style=dashed];@\n" (view_id view) (Intern.rid_of it sym));
+  rows t.sol.sol_roots (fun holder root ->
+      Fmt.pf ppf "  \"%a\" -> %s [style=dashed,label=root];@\n" Node.pp_holder
+        (Intern.holder_of it holder) (view_id root));
+  rows t.sol.sol_listeners (fun view entry ->
+      let l, iface = Intern.listener_of it entry in
+      Fmt.pf ppf "  %s -> \"%a\" [style=dashed,label=\"listener:%s\"];@\n" (view_id view)
+        Node.pp_listener l iface);
   Fmt.pf ppf "}@\n"

@@ -1,11 +1,18 @@
-(** The constraint graph (Section 4.1) and the relations computed over
+(** The constraint graph (Section 4.1) and the solution computed over
     it (Section 4.2).
 
     Locations ({!Node.t}) carry points-to sets of abstract values; flow
     edges ([->] in the paper) connect locations; the [=>] relationship
-    edges of the paper are stored as relations over abstract views:
-    parent-child, view=>id, holder=>root, view=>listener, and
-    root=>layout-id. *)
+    edges of the paper are relations over abstract views: parent-child,
+    view=>id, holder=>root, view=>listener, and root=>layout-id.
+
+    The graph stores its solution once, as interner-id rows ({!solution}):
+    per-representative value bitsets plus the children, parents, ids,
+    roots and listeners rows, which an engine hands over at the end of
+    a solve ({!set_solution}).  Every solution reader ({!set_of},
+    {!children_of}, {!descendants}, …) decodes those rows on demand.
+    The cold relations (inflations, onclick handlers, declared
+    fragments, root layouts, transitions) stay structural tables. *)
 
 module VS : Set.S with type elt = Node.value
 
@@ -27,15 +34,6 @@ type op = {
   op_recv : Node.t;
   op_args : Node.t list;
   op_out : Node.t option;
-}
-
-(** Which view relations grew since the last {!take_rel_changes}. *)
-type rel_changes = {
-  rc_children : bool;
-  rc_ids : bool;
-  rc_roots : bool;
-  rc_onclick : bool;
-  rc_fragments : bool;
 }
 
 type t
@@ -73,33 +71,45 @@ val has_top : t -> bool
 (** Did any seed introduce an unknown-id marker?  Such graphs solve
     cold only — the warm guard refuses them. *)
 
-(** {1 Points-to sets} *)
+(** {1 The solution}
 
-val add_value : t -> Node.t -> Node.value -> bool
-(** [true] iff the set grew. *)
+    Rows over interner ids.  A row array may be longer than the ids in
+    use; ids past its end have an empty row.  Node ids past [sol_rep]'s
+    end are their own representatives. *)
+
+type solution = {
+  sol_rep : int array;  (** node id -> representative whose value row it shares *)
+  sol_values : Util.Bitset.t option array;  (** representative -> value ids *)
+  sol_children : Util.Bitset.t option array;  (** view id -> child view ids *)
+  sol_parents : Util.Bitset.t option array;  (** view id -> parent view ids *)
+  sol_ids : Util.Bitset.t option array;  (** view id -> rid symbols ({!Intern.rid}) *)
+  sol_roots : Util.Bitset.t option array;  (** holder id -> root view ids *)
+  sol_listeners : Util.Bitset.t option array;  (** view id -> listener entry ids *)
+}
+
+val set_solution : t -> solution -> unit
+(** Adopt an engine's final rows without copying.  The rows must be
+    over this graph's interner and must not be mutated afterwards
+    (captured states and warm solves alias them). *)
 
 val set_of : t -> Node.t -> VS.t
+(** Decodes the node's row; empty for a node the interner never saw. *)
 
 val views_of : t -> Node.t -> Node.view_abs list
+(** The views in {!set_of}, in decreasing {!Node.compare_view} order. *)
 
 (** {2 Imprecision taint}
 
     The subset of each location's points-to set whose membership was
     justified (transitively) by an unknown-id marker.  Purely
-    diagnostic: solving never branches on taint, and both engines
-    compute the identical plane.  Invariant at fixpoint:
+    diagnostic: solving never branches on taint, and one post-pass
+    computes it for both engines.  Invariant:
     [taints_of t n ⊆ set_of t n]. *)
-
-val add_taint : t -> Node.t -> Node.value -> bool
-(** [true] iff the taint set grew.  The value need not be in the
-    points-to set yet (engines may taint ahead of the value landing). *)
 
 val taints_of : t -> Node.t -> VS.t
 
-val is_tainted : t -> Node.t -> Node.value -> bool
-
 val install_taints : t -> Node.t -> VS.t -> unit
-(** Wholesale row install (interned decode, snapshot restore).  An
+(** Wholesale row install (the taint pass, snapshot restore).  An
     empty set clears the row. *)
 
 val tainted_nodes : t -> (Node.t * VS.t) list
@@ -117,35 +127,35 @@ val succ_table : t -> Node.t -> (edge_kind * Node.t) list
 val seeds : t -> (Node.t * VS.t) list
 
 val reset_sets : t -> unit
-(** Clear all points-to sets and relations back to the seeded state
-    (used to re-solve under a different configuration). *)
+(** Drop the solution, the taint plane and the cold relations, back to
+    the seeded state (used to re-solve under a different
+    configuration). *)
 
-(** {1 Relations} *)
+(** {1 Relations}
 
-val add_child : t -> parent:Node.view_abs -> child:Node.view_abs -> bool
+    The solved relations decode the {!solution} rows; the cold ones
+    below ({!add_root_layout} onwards) are structural tables written
+    during solving. *)
 
 val children_of : t -> Node.view_abs -> View_set.t
 
 val parents_of : t -> Node.view_abs -> View_set.t
 
 val descendants : t -> include_self:bool -> Node.view_abs -> View_set.t
-(** Reflexive-or-strict transitive closure of parent-child, by BFS. *)
-
-val add_view_id : t -> Node.view_abs -> int -> bool
+(** Reflexive-or-strict transitive closure of parent-child, by BFS
+    over the rows (the relation may be cyclic). *)
 
 val ids_of_view : t -> Node.view_abs -> Int_set.t
-
-val add_holder_root : t -> Node.holder -> Node.view_abs -> bool
 
 val roots_of_holder : t -> Node.holder -> View_set.t
 
 val holders : t -> Node.holder list
-
-val add_view_listener : t -> Node.view_abs -> Node.listener_abs -> iface:string -> bool
+(** Holders with at least one root, sorted by {!Node.compare_holder}. *)
 
 val listeners_of_view : t -> Node.view_abs -> Listener_set.t
 
 val views_with_listeners : t -> Node.view_abs list
+(** Views with at least one registration, in unspecified order. *)
 
 val add_root_layout : t -> Node.view_abs -> int -> bool
 
@@ -168,9 +178,6 @@ val declared_fragments_of : t -> Node.view_abs -> string list
 
 val views_with_declared_fragments : t -> Node.view_abs list
 
-val take_rel_changes : t -> rel_changes
-(** Which relations grew since the previous call; clears the flags. *)
-
 val add_transition : t -> from_:string -> to_:string -> bool
 (** Activity-transition edge (extension: STARTACTIVITY). *)
 
@@ -187,8 +194,7 @@ val inflated_views : t -> Node.view_abs list
 
 (** {1 Cold-relation enumeration (snapshots, warm restarts)}
 
-    Entries of the relations maintained structurally during interned
-    solving, in unspecified order. *)
+    Entries of the structural relations, in unspecified order. *)
 
 val inflation_entries : t -> (Node.site * string * Node.view_abs list) list
 
@@ -262,44 +268,6 @@ val frozen_flow : t -> flow_csr
 
 val ops_node_ids : t -> (int * int array * int) array
 (** Aligned with {!ops}: per op, (recv id, arg ids, out id or [-1]). *)
-
-(** {1 Solution installation (interned solver)}
-
-    The interned engine solves over dense ids and then decodes its
-    bitsets back into these structural tables, so every consumer of
-    the solved graph is engine-agnostic.  {!reset_solution_tables}
-    clears exactly the tables the id-level stores mirror (points-to
-    sets, children/parents, view ids and the reverse index, holder
-    roots, listeners); cold relations the interned engine maintains
-    structurally (onclick, declared fragments, root layouts,
-    inflations, transitions) are untouched. *)
-
-val reset_solution_tables : t -> unit
-
-val install_set : t -> Node.t -> VS.t -> unit
-
-val install_children : t -> Node.view_abs -> View_set.t -> unit
-
-val install_parents : t -> Node.view_abs -> View_set.t -> unit
-
-val install_ids : t -> Node.view_abs -> Int_set.t -> unit
-
-val install_roots : t -> Node.holder -> View_set.t -> unit
-
-val install_listeners : t -> Node.view_abs -> Listener_set.t -> unit
-
-val copy_solution_tables :
-  children:bool -> ids:bool -> roots:bool -> listeners:bool -> src:t -> t -> unit
-(** Warm materialisation: seed this graph's solution tables from
-    [src]'s, skipping the relations whose flag is [false] (the warm
-    solver rebuilds those wholesale); the caller then re-installs only
-    the dirty rows.  The points-to table is adopted as a read-only
-    base layer (O(1)) rather than copied — this graph's own installs
-    and removals shadow it — while the relation tables are copied. *)
-
-val remove_solution_row : t -> Node.t -> unit
-(** Drop a copied points-to row whose set emptied out (node no longer
-    reached after a patch). *)
 
 val allocs : t -> Node.alloc_site list
 

@@ -195,6 +195,10 @@ let find_node t n = Node_pool.find_opt t.nodes n
 
 let find_value t v = Value_pool.find_opt t.values v
 
+let find_view t w = View_pool.find_opt t.views w
+
+let find_holder t h = Holder_pool.find_opt t.holders h
+
 let listener t entry = Listener_pool.intern t.listeners entry
 
 let holder t h = Holder_pool.intern t.holders h

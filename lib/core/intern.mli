@@ -48,13 +48,17 @@ val rid : t -> int -> int
 
 (** {1 Non-minting lookups}
 
-    Demand-side callers (the query engine, protocol parsers) must not
-    grow a solved state's interner just because a client named an
-    unknown key. *)
+    Demand-side callers (the query engine, protocol parsers, the
+    {!Graph} solution decoders) must not grow a solved state's
+    interner just because a client named an unknown key. *)
 
 val find_node : t -> Node.t -> int option
 
 val find_value : t -> Node.value -> int option
+
+val find_view : t -> Node.view_abs -> int option
+
+val find_holder : t -> Node.holder -> int option
 
 val rid_opt : t -> int -> int option
 

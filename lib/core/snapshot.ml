@@ -2,7 +2,9 @@
    processes).  A snapshot is a versioned JSON document: the interner
    pools in id order, the frozen flow CSR, per-representative solution
    bitsets, relation rows, dynamic return dependencies and per-op write
-   targets, plus the donor graph's cold structural tables.  Replaying
+   targets, plus the donor graph's cold structural tables and taint
+   rows.  Loading hands the decoded rows to the donor graph as its
+   solution store; nothing is re-installed per node.  Replaying
    the value pool in id order recreates the value AND view pools
    exactly — interning a value and its paired view is atomic with
    respect to other interns, so the relative order of view allocations
@@ -343,6 +345,22 @@ let drows ~size j =
   List.iter (fun (i, b) -> a.(i) <- Some b) rows;
   a
 
+(* Every row index and member must name an entry of its pool.  The
+   graph and the query engine decode rows lazily, so a dangling id
+   would otherwise surface (or decode to a placeholder) long after
+   loading. *)
+let check_rows what ~index ~member rows =
+  Array.iteri
+    (fun i o ->
+      match o with
+      | None -> ()
+      | Some b ->
+          if i >= index then bad "%s row %d out of range" what i;
+          Util.Bitset.iter
+            (fun m -> if m >= member then bad "%s row %d: id %d out of range" what i m)
+            b)
+    rows
+
 let dpairs j =
   Array.of_list
     (List.map (function J.List [ x; y ] -> (dint x, dint y) | _ -> bad "bad pair") (dlist j))
@@ -391,37 +409,28 @@ let of_json j =
     let by_id = drows ~size:0 (dfield "by_id" j) in
     let roots = drows ~size:0 (dfield "roots" j) in
     let listeners = drows ~size:0 (dfield "listeners" j) in
-    (* Donor graph: structural solution tables decoded from the id
-       level, plus the cold tables.  Never re-solved. *)
+    let nodes = Intern.node_count it and views = Intern.view_count it in
+    Array.iter (fun r -> if r < 0 || r >= nodes then bad "nrep entry %d out of range" r) nrep;
+    check_rows "sols" ~index:nodes ~member:(Intern.value_count it) sols;
+    check_rows "children" ~index:views ~member:views children;
+    check_rows "parents" ~index:views ~member:views parents;
+    check_rows "ids" ~index:views ~member:(Intern.rid_count it) ids;
+    check_rows "by_id" ~index:(Intern.rid_count it) ~member:views by_id;
+    check_rows "roots" ~index:(Intern.holder_count it) ~member:views roots;
+    check_rows "listeners" ~index:views ~member:(Intern.listener_count it) listeners;
+    (* Donor graph: the decoded rows are its solution store as they
+       are, plus the cold tables.  Never re-solved. *)
     let graph = Graph.create ~interner:it () in
-    for nid = 0 to node_total - 1 do
-      let rep = if nid < csr_n then nrep.(nid) else nid in
-      match sols.(rep) with
-      | Some b when not (Util.Bitset.is_empty b) ->
-          Graph.install_set graph (Intern.node_of it nid)
-            (Util.Bitset.fold
-               (fun vid acc -> Graph.VS.add (Intern.value_of it vid) acc)
-               b Graph.VS.empty)
-      | _ -> ()
-    done;
-    let view_set b =
-      Util.Bitset.fold (fun wid acc -> Graph.View_set.add (Intern.view_of it wid) acc) b
-        Graph.View_set.empty
-    in
-    let each rows f = Array.iteri (fun i o -> match o with Some b -> f i b | None -> ()) rows in
-    each children (fun wid b -> Graph.install_children graph (Intern.view_of it wid) (view_set b));
-    each parents (fun wid b -> Graph.install_parents graph (Intern.view_of it wid) (view_set b));
-    each ids (fun wid b ->
-        Graph.install_ids graph (Intern.view_of it wid)
-          (Util.Bitset.fold
-             (fun sym acc -> Graph.Int_set.add (Intern.rid_of it sym) acc)
-             b Graph.Int_set.empty));
-    each roots (fun hid b -> Graph.install_roots graph (Intern.holder_of it hid) (view_set b));
-    each listeners (fun wid b ->
-        Graph.install_listeners graph (Intern.view_of it wid)
-          (Util.Bitset.fold
-             (fun eid acc -> Graph.Listener_set.add (Intern.listener_of it eid) acc)
-             b Graph.Listener_set.empty));
+    Graph.set_solution graph
+      {
+        Graph.sol_rep = nrep;
+        sol_values = sols;
+        sol_children = children;
+        sol_parents = parents;
+        sol_ids = ids;
+        sol_roots = roots;
+        sol_listeners = listeners;
+      };
     List.iter
       (function
         | J.List [ s; layout; views ] ->
@@ -472,7 +481,6 @@ let of_json j =
     Array.iter
       (fun (nid, vid) -> Graph.seed graph (Intern.node_of it nid) (Intern.value_of it vid))
       seeds;
-    ignore (Graph.take_rel_changes graph);
     Ok
       {
         Solve.sd_config = config;

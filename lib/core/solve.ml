@@ -29,589 +29,9 @@ let passes_cast hierarchy cls value =
     | Node.V_layout_id _ | Node.V_view_id _ -> false
     | Node.V_layout_top | Node.V_view_id_top -> false
 
-type state = {
-  config : Config.t;
-  app : Framework.App.t;
-  graph : Graph.t;
-  succs : Node.t -> (Graph.edge_kind * Node.t) list;  (** {!Graph.succ_table}, built once per solve *)
-  worklist : Node.t Util.Worklist.t;
-  mutable propagations : int;
-  mutable op_applications : int;
-  mutable dirty : bool;  (** a set or relation grew during the current op pass *)
-}
-
-let push_value state node value =
-  if Graph.add_value state.graph node value then begin
-    Util.Worklist.add state.worklist node;
-    state.dirty <- true
-  end
-
-let mark state changed = if changed then state.dirty <- true
-
-(* Worklist propagation of points-to sets along flow edges, pushing
-   full sets (naive solver). *)
-let propagate_full state =
-  let hierarchy = state.app.Framework.App.hierarchy in
-  Util.Worklist.drain state.worklist (fun node ->
-      state.propagations <- state.propagations + 1;
-      let values = Graph.set_of state.graph node in
-      List.iter
-        (fun (kind, dst) ->
-          Graph.VS.iter
-            (fun value ->
-              let passes =
-                match kind with
-                | Graph.E_direct -> true
-                | Graph.E_cast cls -> passes_cast hierarchy cls value
-              in
-              if passes && Graph.add_value state.graph dst value then
-                Util.Worklist.add state.worklist dst)
-            values)
-        (state.succs node))
-
-(* Values at the argument location of an op, view-id constants only. *)
-let view_ids_at state node =
-  Graph.VS.fold
-    (fun v acc -> match v with Node.V_view_id id -> id :: acc | _ -> acc)
-    (Graph.set_of state.graph node) []
-
-let layout_ids_at state node =
-  Graph.VS.fold
-    (fun v acc -> match v with Node.V_layout_id id -> id :: acc | _ -> acc)
-    (Graph.set_of state.graph node) []
-
-let views_at state node = Graph.views_of state.graph node
-
-(* Unknown-id markers at an op input ([Inflate(⊤)] / [FindView(v, ⊤)]
-   / [SetId(v, ⊤)]). *)
-let top_layout_at state node = Graph.VS.mem Node.V_layout_top (Graph.set_of state.graph node)
-
-let top_view_id_at state node = Graph.VS.mem Node.V_view_id_top (Graph.set_of state.graph node)
-
-(* Every [R.layout] id of the package: a ⊤ layout argument may name any
-   of them (reflection, computed resource names). *)
-let all_layout_ids state =
-  let package = state.app.Framework.App.package in
-  let resources = Layouts.Package.resources package in
-  List.filter_map
-    (fun (def : Layouts.Layout.def) -> Layouts.Resource.find_layout_id resources def.name)
-    (Layouts.Package.layouts package)
-
-(* Content holders among the values at a location: activities, plus
-   dialog objects when the extension is enabled. *)
-let holders_at state node =
-  Graph.VS.fold
-    (fun v acc ->
-      match v with
-      | Node.V_act a -> Node.H_act a :: acc
-      | Node.V_obj site
-        when state.config.Config.model_dialogs
-             && Framework.Views.is_dialog_class state.app.hierarchy site.a_cls ->
-          Node.H_dialog site :: acc
-      | _ -> acc)
-    (Graph.set_of state.graph node) []
-
-(* Listener objects among the values at a location, restricted to
-   those actually implementing the interface being registered. *)
-let listeners_at state iface node =
-  let implements cls =
-    Jir.Hierarchy.subtype state.app.Framework.App.hierarchy cls iface.Framework.Listeners.i_name
-  in
-  Graph.VS.fold
-    (fun v acc ->
-      match v with
-      | Node.V_obj site when implements site.a_cls -> Node.L_alloc site :: acc
-      | Node.V_view view when implements (Node.class_of_view view) ->
-          (* custom view classes can be their own listeners *)
-          (match view with
-          | Node.V_alloc site -> Node.L_alloc site :: acc
-          | Node.V_infl _ -> acc)
-      | Node.V_act a when implements a -> Node.L_act a :: acc
-      | _ -> acc)
-    (Graph.set_of state.graph node) []
-
-let inflate_at state ~site lid =
-  let package = state.app.Framework.App.package in
-  match Layouts.Package.find_by_layout_id package lid with
-  | None -> None
-  | Some def ->
-      let already = Graph.find_inflation state.graph ~site ~layout:def.name <> None in
-      let views =
-        Inflate.instantiate state.graph
-          ~resources:(Layouts.Package.resources package)
-          ~site def
-      in
-      if not already then state.dirty <- true;
-      Some (Inflate.root views)
-
-(* The implicit callback of SETLISTENER: for handler [n] of the
-   listener's class, inject listener -> this_n and view -> view-param_n
-   (the [y.n(x)] modeling at the end of Section 3). *)
-let inject_handler_flows state view listener iface =
-  let hierarchy = state.app.Framework.App.hierarchy in
-  let cls, listener_value =
-    match listener with
-    | Node.L_alloc site -> (site.Node.a_cls, Node.V_obj site)
-    | Node.L_act a -> (a, Node.V_act a)
-  in
-  List.iter
-    (fun (h : Framework.Listeners.handler) ->
-      match
-        Jir.Hierarchy.resolve hierarchy cls { Jir.Ast.mk_name = h.h_name; mk_arity = h.h_arity }
-      with
-      | Some (owner, m) ->
-          let tmid = Node.mid_of_meth owner m in
-          push_value state (Node.N_var (tmid, Jir.Ast.this_var)) listener_value;
-          (match h.h_view_param with
-          | Some k -> (
-              match List.nth_opt m.m_params k with
-              | Some (param, _) -> push_value state (Node.N_var (tmid, param)) (Node.V_view view)
-              | None -> ())
-          | None -> ());
-          (* adapter-view events: the item parameter receives the
-             registered view's children (item views) *)
-          (match h.h_item_param with
-          | Some k -> (
-              match List.nth_opt m.m_params k with
-              | Some (param, _) ->
-                  Graph.View_set.iter
-                    (fun child ->
-                      push_value state (Node.N_var (tmid, param)) (Node.V_view child))
-                    (Graph.children_of state.graph view)
-              | None -> ())
-          | None -> ())
-      | None -> ())
-    iface.Framework.Listeners.i_handlers
-
-(* find(view, id): descendants (reflexively) of the receiver carrying
-   the id — rule FINDVIEW1's [ancestorOf] + [=> id] conditions.  A view
-   whose id row carries the ⊤ sentinel (SetId(v, ⊤)) matches any
-   queried id; the sentinel only enters rows on ⊤ graphs. *)
-let find_in_hierarchy state root id =
-  let carries w =
-    let ids = Graph.ids_of_view state.graph w in
-    Graph.Int_set.mem id ids || Graph.Int_set.mem Node.top_view_id_raw ids
-  in
-  Graph.View_set.filter carries (Graph.descendants state.graph ~include_self:true root)
-
-(* FindView(v, ⊤): the query may name any id, so it resolves to every
-   view in scope carrying at least one id. *)
-let find_any_id state root =
-  Graph.View_set.filter
-    (fun w -> not (Graph.Int_set.is_empty (Graph.ids_of_view state.graph w)))
-    (Graph.descendants state.graph ~include_self:true root)
-
-let apply_op state (op : Graph.op) =
-  let g = state.graph in
-  let out value = Option.iter (fun node -> push_value state node value) op.op_out in
-  let out_view view = out (Node.V_view view) in
-  match op.site.o_kind with
-  | Framework.Api.Inflate ->
-      let arg0 = List.nth_opt op.op_args 0 in
-      Option.iter
-        (fun arg ->
-          let lids = layout_ids_at state arg in
-          (* Inflate(⊤): the unresolved id may name any layout. *)
-          let lids = if top_layout_at state arg then all_layout_ids state @ lids else lids in
-          List.iter
-            (fun lid ->
-              match inflate_at state ~site:op.site.o_site lid with
-              | Some root ->
-                  mark state (Graph.add_root_layout g root lid);
-                  out_view root;
-                  (* inflate(id, parent): the new hierarchy may be
-                     attached to the given container. *)
-                  (match List.nth_opt op.op_args 1 with
-                  | Some parent_arg ->
-                      List.iter
-                        (fun parent -> mark state (Graph.add_child g ~parent ~child:root))
-                        (views_at state parent_arg)
-                  | None -> ())
-              | None -> ())
-            lids)
-        arg0
-  | Framework.Api.Set_content ->
-      let holders = holders_at state op.op_recv in
-      Option.iter
-        (fun arg ->
-          (* setContentView(int): rule INFLATE2 *)
-          let lids = layout_ids_at state arg in
-          let lids = if top_layout_at state arg then all_layout_ids state @ lids else lids in
-          List.iter
-            (fun lid ->
-              match inflate_at state ~site:op.site.o_site lid with
-              | Some root ->
-                  mark state (Graph.add_root_layout g root lid);
-                  List.iter (fun h -> mark state (Graph.add_holder_root g h root)) holders
-              | None -> ())
-            lids;
-          (* setContentView(View): rule ADDVIEW1 *)
-          List.iter
-            (fun view -> List.iter (fun h -> mark state (Graph.add_holder_root g h view)) holders)
-            (views_at state arg))
-        (List.nth_opt op.op_args 0)
-  | Framework.Api.Add_view ->
-      Option.iter
-        (fun arg ->
-          List.iter
-            (fun parent ->
-              List.iter
-                (fun child -> mark state (Graph.add_child g ~parent ~child))
-                (views_at state arg))
-            (views_at state op.op_recv))
-        (List.nth_opt op.op_args 0)
-  | Framework.Api.Set_id ->
-      Option.iter
-        (fun arg ->
-          let ids = view_ids_at state arg in
-          (* SetId(v, ⊤): record the sentinel; such a row matches any
-             later query (see [find_in_hierarchy]). *)
-          let ids = if top_view_id_at state arg then Node.top_view_id_raw :: ids else ids in
-          List.iter
-            (fun view -> List.iter (fun id -> mark state (Graph.add_view_id g view id)) ids)
-            (views_at state op.op_recv))
-        (List.nth_opt op.op_args 0)
-  | Framework.Api.Set_listener iface ->
-      Option.iter
-        (fun arg ->
-          List.iter
-            (fun view ->
-              List.iter
-                (fun listener ->
-                  mark state
-                    (Graph.add_view_listener g view listener ~iface:iface.Framework.Listeners.i_name);
-                  if state.config.Config.listener_callbacks then
-                    inject_handler_flows state view listener iface)
-                (listeners_at state iface arg))
-            (views_at state op.op_recv))
-        (List.nth_opt op.op_args 0)
-  | Framework.Api.Find_view ->
-      Option.iter
-        (fun arg ->
-          (* FINDVIEW1 starts from receiver views; FINDVIEW2 from the
-             roots of receiver activities/dialogs. *)
-          let over_scope find =
-            List.iter
-              (fun v -> Graph.View_set.iter out_view (find v))
-              (views_at state op.op_recv);
-            List.iter
-              (fun h ->
-                Graph.View_set.iter
-                  (fun root -> Graph.View_set.iter out_view (find root))
-                  (Graph.roots_of_holder g h))
-              (holders_at state op.op_recv)
-          in
-          List.iter
-            (fun id -> over_scope (fun root -> find_in_hierarchy state root id))
-            (view_ids_at state arg);
-          if top_view_id_at state arg then over_scope (fun root -> find_any_id state root))
-        (List.nth_opt op.op_args 0)
-  | Framework.Api.Find_one scope ->
-      List.iter
-        (fun v ->
-          let results =
-            match scope with
-            | Framework.Api.Children when state.config.Config.findone_refinement ->
-                Graph.children_of g v
-            | Framework.Api.Children | Framework.Api.Descendants ->
-                Graph.descendants g ~include_self:false v
-          in
-          Graph.View_set.iter out_view results)
-        (views_at state op.op_recv)
-  | Framework.Api.Get_parent ->
-      List.iter
-        (fun v -> Graph.View_set.iter out_view (Graph.parents_of g v))
-        (views_at state op.op_recv)
-  | Framework.Api.Pass_through ->
-      (* the result stands for the receiver (e.g. a fragment manager
-         for its activity) *)
-      Graph.VS.iter (fun value -> out value) (Graph.set_of g op.op_recv)
-  | Framework.Api.Fragment_add ->
-      (* Fragment extension: the fragment's onCreateView callback runs
-         and its resulting views are attached under the views carrying
-         the container id in the activity's hierarchy. *)
-      let hierarchy = state.app.Framework.App.hierarchy in
-      let fragments =
-        match op.op_args with
-        | _ :: frag_arg :: _ ->
-            Graph.VS.fold
-              (fun v acc ->
-                match v with
-                | Node.V_obj site when Framework.Views.is_fragment_class hierarchy site.a_cls ->
-                    site :: acc
-                | _ -> acc)
-              (Graph.set_of g frag_arg) []
-        | _ -> []
-      in
-      let container_ids =
-        match op.op_args with id_arg :: _ -> view_ids_at state id_arg | [] -> []
-      in
-      let top_container =
-        match op.op_args with id_arg :: _ -> top_view_id_at state id_arg | [] -> false
-      in
-      let containers =
-        List.concat_map
-          (fun h ->
-            Graph.View_set.fold
-              (fun root acc ->
-                let acc =
-                  if top_container then Graph.View_set.elements (find_any_id state root) @ acc
-                  else acc
-                in
-                List.fold_left
-                  (fun acc id -> Graph.View_set.elements (find_in_hierarchy state root id) @ acc)
-                  acc container_ids)
-              (Graph.roots_of_holder g h) [])
-          (holders_at state op.op_recv)
-      in
-      List.iter
-        (fun (fragment : Node.alloc_site) ->
-          match
-            Jir.Hierarchy.resolve hierarchy fragment.a_cls
-              { Jir.Ast.mk_name = "onCreateView"; mk_arity = 0 }
-          with
-          | Some (owner, m) ->
-              let tmid = Node.mid_of_meth owner m in
-              push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj fragment);
-              let created = Graph.views_of g (Node.N_ret tmid) in
-              List.iter
-                (fun parent ->
-                  List.iter
-                    (fun child -> mark state (Graph.add_child g ~parent ~child))
-                    created)
-                containers
-          | None -> ())
-        fragments
-  | Framework.Api.Menu_add ->
-      (* Menu extension: mint a MenuItem per site, attach it under each
-         receiver menu, and feed the owning activity's
-         onOptionsItemSelected callback with it. *)
-      let hierarchy = state.app.Framework.App.hierarchy in
-      let item = Node.V_alloc (Node.menu_item_site op.site.o_site) in
-      List.iter
-        (fun menu ->
-          if Jir.Hierarchy.subtype hierarchy (Node.class_of_view menu) "Menu" then begin
-            mark state (Graph.add_child g ~parent:menu ~child:item);
-            out_view item;
-            (* add(group, itemId, order, title): the item id *)
-            (match op.op_args with
-            | _ :: id_arg :: _ ->
-                let ids = view_ids_at state id_arg in
-                let ids =
-                  if top_view_id_at state id_arg then Node.top_view_id_raw :: ids else ids
-                in
-                List.iter (fun id -> mark state (Graph.add_view_id g item id)) ids
-            | _ -> ());
-            match menu with
-            | Node.V_alloc site -> (
-                match Node.menu_owner site with
-                | Some activity -> (
-                    match
-                      Jir.Hierarchy.resolve hierarchy activity
-                        {
-                          Jir.Ast.mk_name = fst Framework.Lifecycle.on_options_item_selected;
-                          mk_arity = snd Framework.Lifecycle.on_options_item_selected;
-                        }
-                    with
-                    | Some (owner, m) -> (
-                        let tmid = Node.mid_of_meth owner m in
-                        match m.m_params with
-                        | (param, _) :: _ ->
-                            push_value state (Node.N_var (tmid, param)) (Node.V_view item)
-                        | [] -> ())
-                    | None -> ())
-                | None -> ())
-            | Node.V_infl _ -> ()
-          end)
-        (views_at state op.op_recv)
-  | Framework.Api.Set_adapter ->
-      (* Adapter extension: run the adapter's getView callback and make
-         its returned views children of the adapter view. *)
-      let hierarchy = state.app.Framework.App.hierarchy in
-      let adapters =
-        match op.op_args with
-        | arg :: _ ->
-            Graph.VS.fold
-              (fun v acc ->
-                match v with
-                | Node.V_obj site when Jir.Hierarchy.subtype hierarchy site.a_cls "Adapter" ->
-                    site :: acc
-                | _ -> acc)
-              (Graph.set_of g arg) []
-        | [] -> []
-      in
-      List.iter
-        (fun view ->
-          List.iter
-            (fun (adapter : Node.alloc_site) ->
-              match
-                Jir.Hierarchy.resolve hierarchy adapter.a_cls
-                  { Jir.Ast.mk_name = "getView"; mk_arity = 3 }
-              with
-              | Some (owner, m) ->
-                  let tmid = Node.mid_of_meth owner m in
-                  push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj adapter);
-                  (* parent parameter is the adapter view *)
-                  (match List.nth_opt m.m_params 2 with
-                  | Some (param, _) ->
-                      push_value state (Node.N_var (tmid, param)) (Node.V_view view)
-                  | None -> ());
-                  List.iter
-                    (fun child -> mark state (Graph.add_child g ~parent:view ~child))
-                    (Graph.views_of g (Node.N_ret tmid))
-              | None -> ())
-            adapters)
-        (views_at state op.op_recv)
-  | Framework.Api.Start_activity ->
-      (* Extension: inter-component control flow.  Sources are the
-         activities the call may execute on; targets are the activity
-         tokens reaching the argument. *)
-      let hierarchy = state.app.Framework.App.hierarchy in
-      let sources =
-        Graph.VS.fold
-          (fun v acc -> match v with Node.V_act a -> a :: acc | _ -> acc)
-          (Graph.set_of g op.op_recv) []
-      in
-      let targets =
-        match op.op_args with
-        | [] -> []
-        | arg :: _ ->
-            Graph.VS.fold
-              (fun v acc ->
-                match v with
-                | Node.V_obj site when Framework.Views.is_activity_class hierarchy site.a_cls ->
-                    site.a_cls :: acc
-                | Node.V_act a -> a :: acc
-                | _ -> acc)
-              (Graph.set_of g arg) []
-      in
-      List.iter
-        (fun from_ ->
-          List.iter (fun to_ -> mark state (Graph.add_transition g ~from_ ~to_)) targets)
-        sources
-
-(* Declarative listeners (android:onClick): views in a holder's
-   hierarchy carrying an onClick handler name behave as if the holder
-   registered itself as an OnClickListener whose handler is that
-   method. *)
-let register_declarative state holder view =
-  let g = state.graph in
-  let hierarchy = state.app.Framework.App.hierarchy in
-  let label = match holder with Node.H_act a -> a | Node.H_dialog site -> site.Node.a_cls in
-  List.iter
-    (fun handler_name ->
-      match
-        Jir.Hierarchy.resolve hierarchy label { Jir.Ast.mk_name = handler_name; mk_arity = 1 }
-      with
-      | Some (owner, m) ->
-          let listener =
-            match holder with
-            | Node.H_act a -> Node.L_act a
-            | Node.H_dialog site -> Node.L_alloc site
-          in
-          mark state (Graph.add_view_listener g view listener ~iface:"OnClickListener");
-          if state.config.Config.listener_callbacks then begin
-            let tmid = Node.mid_of_meth owner m in
-            push_value state
-              (Node.N_var (tmid, Jir.Ast.this_var))
-              (match holder with
-              | Node.H_act a -> Node.V_act a
-              | Node.H_dialog site -> Node.V_obj site);
-            match m.m_params with
-            | (param, _) :: _ -> push_value state (Node.N_var (tmid, param)) (Node.V_view view)
-            | [] -> ()
-          end
-      | None -> ())
-    (Graph.onclicks_of state.graph view)
-
-let apply_declarative_handlers state =
-  let g = state.graph in
-  List.iter
-    (fun holder ->
-      Graph.View_set.iter
-        (fun root ->
-          Graph.View_set.iter
-            (fun view -> register_declarative state holder view)
-            (Graph.descendants g ~include_self:true root))
-        (Graph.roots_of_holder g holder))
-    (Graph.holders g)
-
-(* Declaratively placed fragments (<fragment android:name="F"/>): the
-   platform instantiates F during inflation and attaches the views
-   returned by F.onCreateView under the placeholder node. *)
-let apply_declared_fragments state =
-  let g = state.graph in
-  let hierarchy = state.app.Framework.App.hierarchy in
-  List.iter
-    (fun view ->
-      match view with
-      | Node.V_infl infl ->
-          List.iter
-            (fun cls ->
-              match
-                Jir.Hierarchy.resolve hierarchy cls
-                  { Jir.Ast.mk_name = "onCreateView"; mk_arity = 0 }
-              with
-              | Some (owner, m) ->
-                  let fragment = Node.declared_fragment_site cls infl in
-                  let tmid = Node.mid_of_meth owner m in
-                  push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj fragment);
-                  List.iter
-                    (fun child -> mark state (Graph.add_child g ~parent:view ~child))
-                    (Graph.views_of g (Node.N_ret tmid))
-              | None -> ())
-            (Graph.declared_fragments_of g view)
-      | Node.V_alloc _ -> ())
-    (Graph.views_with_declared_fragments g)
-
-let seed_and_count state =
-  List.iter
-    (fun (node, values) -> Graph.VS.iter (fun v -> push_value state node v) values)
-    (Graph.seeds state.graph)
-
-(* The reference fixed point: re-apply every op against full sets each
-   round until nothing changes. *)
-let run_naive state =
-  seed_and_count state;
-  propagate_full state;
-  let ops = Graph.ops state.graph in
-  let iterations = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !iterations < state.config.Config.max_iterations do
-    incr iterations;
-    state.dirty <- false;
-    List.iter
-      (fun op ->
-        state.op_applications <- state.op_applications + 1;
-        apply_op state op)
-      ops;
-    apply_declarative_handlers state;
-    apply_declared_fragments state;
-    propagate_full state;
-    continue_ := state.dirty
-  done;
-  if !continue_ then
-    Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
-  !iterations
-
-(* ------------------------------------------------------------------ *)
-(* Interned engine: the fixed point of [run_naive], computed
-   semi-naively over dense integer ids.  After seeding, every op runs
-   once; from then on an op is re-applied only when a location it
-   reads grew or a relation it consults changed.  Ops still read full
-   sets when applied, so the solution is identical to the naive
-   solver's.  Every location, abstract value,
-   view, listener entry and holder is hash-consed ([Intern]) when first
-   seen; solution sets, delta sets and the view relations become
-   [Util.Bitset] over those ids, and the (static) flow edges are frozen
-   into CSR int arrays.  Ops decode ids back to structural values only
-   at rule boundaries (hierarchy lookups, inflation, callbacks).  The
-   final solution is materialized back into the graph's structural
-   tables, so every downstream consumer (Analysis, Metrics, Export,
-   Diff, tests) is engine-agnostic. *)
-
 (* Growable array of per-id bitsets; a slot is allocated on first use
-   so untouched ids cost one word. *)
+   so untouched ids cost one word.  The interned engine's store, and the
+   row format both engines hand to {!Graph.set_solution}. *)
 module Slots = struct
   type t = { mutable a : Util.Bitset.t option array }
 
@@ -650,11 +70,695 @@ module Slots = struct
     end
     else None
 
-  let iteri f t = Array.iteri (fun i o -> match o with Some b -> f i b | None -> ()) t.a
-
   let total_words t =
     Array.fold_left (fun acc o -> match o with Some b -> acc + Util.Bitset.words b | None -> acc) 0 t.a
 end
+
+(* The naive engine keeps its solution in structural tables of its
+   own, keyed by nodes, views and holders, and mints no interner id
+   while it solves, so it stays an oracle independent of the interned
+   engine's id rows; it encodes its fixpoint into those rows once, at
+   the end ([encode]). *)
+type state = {
+  config : Config.t;
+  app : Framework.App.t;
+  graph : Graph.t;
+  succs : Node.t -> (Graph.edge_kind * Node.t) list;  (** {!Graph.succ_table}, built once per solve *)
+  worklist : Node.t Util.Worklist.t;
+  sets : (Node.t, Graph.VS.t) Hashtbl.t;
+  children : (Node.view_abs, Graph.View_set.t) Hashtbl.t;
+  parents : (Node.view_abs, Graph.View_set.t) Hashtbl.t;
+  ids : (Node.view_abs, Graph.Int_set.t) Hashtbl.t;
+  roots : (Node.holder, Graph.View_set.t) Hashtbl.t;
+  listeners : (Node.view_abs, Graph.Listener_set.t) Hashtbl.t;
+  mutable propagations : int;
+  mutable op_applications : int;
+  mutable dirty : bool;  (** a set or relation grew during the current op pass *)
+}
+
+let set_of state node = Option.value (Hashtbl.find_opt state.sets node) ~default:Graph.VS.empty
+
+let add_value state node value =
+  let existing = set_of state node in
+  (* [Set.add] returns the argument physically when the element is
+     already present: one traversal does membership test and insert. *)
+  let updated = Graph.VS.add value existing in
+  if updated == existing then false
+  else begin
+    Hashtbl.replace state.sets node updated;
+    true
+  end
+
+let views_at state node =
+  Graph.VS.fold
+    (fun v acc -> match Node.view_of_value v with Some view -> view :: acc | None -> acc)
+    (set_of state node) []
+
+(* Set-valued relation update returning whether it grew. *)
+let add_to (type s elt) (module S : Set.S with type t = s and type elt = elt) tbl key v =
+  let existing = Option.value (Hashtbl.find_opt tbl key) ~default:S.empty in
+  let updated = S.add v existing in
+  if updated == existing then false
+  else begin
+    Hashtbl.replace tbl key updated;
+    true
+  end
+
+let find_in tbl empty key = Option.value (Hashtbl.find_opt tbl key) ~default:empty
+
+let children_of state view = find_in state.children Graph.View_set.empty view
+
+let parents_of state view = find_in state.parents Graph.View_set.empty view
+
+let ids_of_view state view = find_in state.ids Graph.Int_set.empty view
+
+let roots_of_holder state holder = find_in state.roots Graph.View_set.empty holder
+
+let holders state = Hashtbl.fold (fun h _ acc -> h :: acc) state.roots []
+
+let add_child state ~parent ~child =
+  let grew = add_to (module Graph.View_set) state.children parent child in
+  if grew then ignore (add_to (module Graph.View_set) state.parents child parent);
+  grew
+
+let add_view_id state view id = add_to (module Graph.Int_set) state.ids view id
+
+let add_holder_root state holder root = add_to (module Graph.View_set) state.roots holder root
+
+let add_view_listener state view listener ~iface =
+  add_to (module Graph.Listener_set) state.listeners view (listener, iface)
+
+let descendants state ~include_self view =
+  let visited = ref (if include_self then Graph.View_set.singleton view else Graph.View_set.empty) in
+  let queue = Queue.create () in
+  Queue.add view queue;
+  while not (Queue.is_empty queue) do
+    let current = Queue.take queue in
+    Graph.View_set.iter
+      (fun child ->
+        if not (Graph.View_set.mem child !visited) then begin
+          visited := Graph.View_set.add child !visited;
+          Queue.add child queue
+        end)
+      (children_of state current)
+  done;
+  !visited
+
+let push_value state node value =
+  if add_value state node value then begin
+    Util.Worklist.add state.worklist node;
+    state.dirty <- true
+  end
+
+let mark state changed = if changed then state.dirty <- true
+
+(* Worklist propagation of points-to sets along flow edges, pushing
+   full sets (naive solver). *)
+let propagate_full state =
+  let hierarchy = state.app.Framework.App.hierarchy in
+  Util.Worklist.drain state.worklist (fun node ->
+      state.propagations <- state.propagations + 1;
+      let values = set_of state node in
+      List.iter
+        (fun (kind, dst) ->
+          Graph.VS.iter
+            (fun value ->
+              let passes =
+                match kind with
+                | Graph.E_direct -> true
+                | Graph.E_cast cls -> passes_cast hierarchy cls value
+              in
+              if passes && add_value state dst value then
+                Util.Worklist.add state.worklist dst)
+            values)
+        (state.succs node))
+
+(* Values at the argument location of an op, view-id constants only. *)
+let view_ids_at state node =
+  Graph.VS.fold
+    (fun v acc -> match v with Node.V_view_id id -> id :: acc | _ -> acc)
+    (set_of state node) []
+
+let layout_ids_at state node =
+  Graph.VS.fold
+    (fun v acc -> match v with Node.V_layout_id id -> id :: acc | _ -> acc)
+    (set_of state node) []
+
+(* Unknown-id markers at an op input ([Inflate(⊤)] / [FindView(v, ⊤)]
+   / [SetId(v, ⊤)]). *)
+let top_layout_at state node = Graph.VS.mem Node.V_layout_top (set_of state node)
+
+let top_view_id_at state node = Graph.VS.mem Node.V_view_id_top (set_of state node)
+
+(* Every [R.layout] id of the package: a ⊤ layout argument may name any
+   of them (reflection, computed resource names). *)
+let all_layout_ids state =
+  let package = state.app.Framework.App.package in
+  let resources = Layouts.Package.resources package in
+  List.filter_map
+    (fun (def : Layouts.Layout.def) -> Layouts.Resource.find_layout_id resources def.name)
+    (Layouts.Package.layouts package)
+
+(* Content holders among the values at a location: activities, plus
+   dialog objects when the extension is enabled. *)
+let holders_at state node =
+  Graph.VS.fold
+    (fun v acc ->
+      match v with
+      | Node.V_act a -> Node.H_act a :: acc
+      | Node.V_obj site
+        when state.config.Config.model_dialogs
+             && Framework.Views.is_dialog_class state.app.hierarchy site.a_cls ->
+          Node.H_dialog site :: acc
+      | _ -> acc)
+    (set_of state node) []
+
+(* Listener objects among the values at a location, restricted to
+   those actually implementing the interface being registered. *)
+let listeners_at state iface node =
+  let implements cls =
+    Jir.Hierarchy.subtype state.app.Framework.App.hierarchy cls iface.Framework.Listeners.i_name
+  in
+  Graph.VS.fold
+    (fun v acc ->
+      match v with
+      | Node.V_obj site when implements site.a_cls -> Node.L_alloc site :: acc
+      | Node.V_view view when implements (Node.class_of_view view) ->
+          (* custom view classes can be their own listeners *)
+          (match view with
+          | Node.V_alloc site -> Node.L_alloc site :: acc
+          | Node.V_infl _ -> acc)
+      | Node.V_act a when implements a -> Node.L_act a :: acc
+      | _ -> acc)
+    (set_of state node) []
+
+let inflate_at state ~site lid =
+  let package = state.app.Framework.App.package in
+  match Layouts.Package.find_by_layout_id package lid with
+  | None -> None
+  | Some def ->
+      let views, facts =
+        Inflate.instantiate state.graph ~resources:(Layouts.Package.resources package) ~site def
+      in
+      (* a fresh subtree always counts as growth *)
+      if facts <> [] then state.dirty <- true;
+      List.iter
+        (fun (m : Inflate.minted) ->
+          List.iter (fun child -> ignore (add_child state ~parent:m.m_view ~child)) m.m_children;
+          Option.iter (fun id -> ignore (add_view_id state m.m_view id)) m.m_id)
+        facts;
+      Some (Inflate.root views)
+
+(* The implicit callback of SETLISTENER: for handler [n] of the
+   listener's class, inject listener -> this_n and view -> view-param_n
+   (the [y.n(x)] modeling at the end of Section 3). *)
+let inject_handler_flows state view listener iface =
+  let hierarchy = state.app.Framework.App.hierarchy in
+  let cls, listener_value =
+    match listener with
+    | Node.L_alloc site -> (site.Node.a_cls, Node.V_obj site)
+    | Node.L_act a -> (a, Node.V_act a)
+  in
+  List.iter
+    (fun (h : Framework.Listeners.handler) ->
+      match
+        Jir.Hierarchy.resolve hierarchy cls { Jir.Ast.mk_name = h.h_name; mk_arity = h.h_arity }
+      with
+      | Some (owner, m) ->
+          let tmid = Node.mid_of_meth owner m in
+          push_value state (Node.N_var (tmid, Jir.Ast.this_var)) listener_value;
+          (match h.h_view_param with
+          | Some k -> (
+              match List.nth_opt m.m_params k with
+              | Some (param, _) -> push_value state (Node.N_var (tmid, param)) (Node.V_view view)
+              | None -> ())
+          | None -> ());
+          (* adapter-view events: the item parameter receives the
+             registered view's children (item views) *)
+          (match h.h_item_param with
+          | Some k -> (
+              match List.nth_opt m.m_params k with
+              | Some (param, _) ->
+                  Graph.View_set.iter
+                    (fun child ->
+                      push_value state (Node.N_var (tmid, param)) (Node.V_view child))
+                    (children_of state view)
+              | None -> ())
+          | None -> ())
+      | None -> ())
+    iface.Framework.Listeners.i_handlers
+
+(* find(view, id): descendants (reflexively) of the receiver carrying
+   the id — rule FINDVIEW1's [ancestorOf] + [=> id] conditions.  A view
+   whose id row carries the ⊤ sentinel (SetId(v, ⊤)) matches any
+   queried id; the sentinel only enters rows on ⊤ graphs. *)
+let find_in_hierarchy state root id =
+  let carries w =
+    let ids = ids_of_view state w in
+    Graph.Int_set.mem id ids || Graph.Int_set.mem Node.top_view_id_raw ids
+  in
+  Graph.View_set.filter carries (descendants state ~include_self:true root)
+
+(* FindView(v, ⊤): the query may name any id, so it resolves to every
+   view in scope carrying at least one id. *)
+let find_any_id state root =
+  Graph.View_set.filter
+    (fun w -> not (Graph.Int_set.is_empty (ids_of_view state w)))
+    (descendants state ~include_self:true root)
+
+let apply_op state (op : Graph.op) =
+  let g = state.graph in
+  let out value = Option.iter (fun node -> push_value state node value) op.op_out in
+  let out_view view = out (Node.V_view view) in
+  match op.site.o_kind with
+  | Framework.Api.Inflate ->
+      let arg0 = List.nth_opt op.op_args 0 in
+      Option.iter
+        (fun arg ->
+          let lids = layout_ids_at state arg in
+          (* Inflate(⊤): the unresolved id may name any layout. *)
+          let lids = if top_layout_at state arg then all_layout_ids state @ lids else lids in
+          List.iter
+            (fun lid ->
+              match inflate_at state ~site:op.site.o_site lid with
+              | Some root ->
+                  mark state (Graph.add_root_layout g root lid);
+                  out_view root;
+                  (* inflate(id, parent): the new hierarchy may be
+                     attached to the given container. *)
+                  (match List.nth_opt op.op_args 1 with
+                  | Some parent_arg ->
+                      List.iter
+                        (fun parent -> mark state (add_child state ~parent ~child:root))
+                        (views_at state parent_arg)
+                  | None -> ())
+              | None -> ())
+            lids)
+        arg0
+  | Framework.Api.Set_content ->
+      let holders = holders_at state op.op_recv in
+      Option.iter
+        (fun arg ->
+          (* setContentView(int): rule INFLATE2 *)
+          let lids = layout_ids_at state arg in
+          let lids = if top_layout_at state arg then all_layout_ids state @ lids else lids in
+          List.iter
+            (fun lid ->
+              match inflate_at state ~site:op.site.o_site lid with
+              | Some root ->
+                  mark state (Graph.add_root_layout g root lid);
+                  List.iter (fun h -> mark state (add_holder_root state h root)) holders
+              | None -> ())
+            lids;
+          (* setContentView(View): rule ADDVIEW1 *)
+          List.iter
+            (fun view -> List.iter (fun h -> mark state (add_holder_root state h view)) holders)
+            (views_at state arg))
+        (List.nth_opt op.op_args 0)
+  | Framework.Api.Add_view ->
+      Option.iter
+        (fun arg ->
+          List.iter
+            (fun parent ->
+              List.iter
+                (fun child -> mark state (add_child state ~parent ~child))
+                (views_at state arg))
+            (views_at state op.op_recv))
+        (List.nth_opt op.op_args 0)
+  | Framework.Api.Set_id ->
+      Option.iter
+        (fun arg ->
+          let ids = view_ids_at state arg in
+          (* SetId(v, ⊤): record the sentinel; such a row matches any
+             later query (see [find_in_hierarchy]). *)
+          let ids = if top_view_id_at state arg then Node.top_view_id_raw :: ids else ids in
+          List.iter
+            (fun view -> List.iter (fun id -> mark state (add_view_id state view id)) ids)
+            (views_at state op.op_recv))
+        (List.nth_opt op.op_args 0)
+  | Framework.Api.Set_listener iface ->
+      Option.iter
+        (fun arg ->
+          List.iter
+            (fun view ->
+              List.iter
+                (fun listener ->
+                  mark state
+                    (add_view_listener state view listener ~iface:iface.Framework.Listeners.i_name);
+                  if state.config.Config.listener_callbacks then
+                    inject_handler_flows state view listener iface)
+                (listeners_at state iface arg))
+            (views_at state op.op_recv))
+        (List.nth_opt op.op_args 0)
+  | Framework.Api.Find_view ->
+      Option.iter
+        (fun arg ->
+          (* FINDVIEW1 starts from receiver views; FINDVIEW2 from the
+             roots of receiver activities/dialogs. *)
+          let over_scope find =
+            List.iter
+              (fun v -> Graph.View_set.iter out_view (find v))
+              (views_at state op.op_recv);
+            List.iter
+              (fun h ->
+                Graph.View_set.iter
+                  (fun root -> Graph.View_set.iter out_view (find root))
+                  (roots_of_holder state h))
+              (holders_at state op.op_recv)
+          in
+          List.iter
+            (fun id -> over_scope (fun root -> find_in_hierarchy state root id))
+            (view_ids_at state arg);
+          if top_view_id_at state arg then over_scope (fun root -> find_any_id state root))
+        (List.nth_opt op.op_args 0)
+  | Framework.Api.Find_one scope ->
+      List.iter
+        (fun v ->
+          let results =
+            match scope with
+            | Framework.Api.Children when state.config.Config.findone_refinement ->
+                children_of state v
+            | Framework.Api.Children | Framework.Api.Descendants ->
+                descendants state ~include_self:false v
+          in
+          Graph.View_set.iter out_view results)
+        (views_at state op.op_recv)
+  | Framework.Api.Get_parent ->
+      List.iter
+        (fun v -> Graph.View_set.iter out_view (parents_of state v))
+        (views_at state op.op_recv)
+  | Framework.Api.Pass_through ->
+      (* the result stands for the receiver (e.g. a fragment manager
+         for its activity) *)
+      Graph.VS.iter (fun value -> out value) (set_of state op.op_recv)
+  | Framework.Api.Fragment_add ->
+      (* Fragment extension: the fragment's onCreateView callback runs
+         and its resulting views are attached under the views carrying
+         the container id in the activity's hierarchy. *)
+      let hierarchy = state.app.Framework.App.hierarchy in
+      let fragments =
+        match op.op_args with
+        | _ :: frag_arg :: _ ->
+            Graph.VS.fold
+              (fun v acc ->
+                match v with
+                | Node.V_obj site when Framework.Views.is_fragment_class hierarchy site.a_cls ->
+                    site :: acc
+                | _ -> acc)
+              (set_of state frag_arg) []
+        | _ -> []
+      in
+      let container_ids =
+        match op.op_args with id_arg :: _ -> view_ids_at state id_arg | [] -> []
+      in
+      let top_container =
+        match op.op_args with id_arg :: _ -> top_view_id_at state id_arg | [] -> false
+      in
+      let containers =
+        List.concat_map
+          (fun h ->
+            Graph.View_set.fold
+              (fun root acc ->
+                let acc =
+                  if top_container then Graph.View_set.elements (find_any_id state root) @ acc
+                  else acc
+                in
+                List.fold_left
+                  (fun acc id -> Graph.View_set.elements (find_in_hierarchy state root id) @ acc)
+                  acc container_ids)
+              (roots_of_holder state h) [])
+          (holders_at state op.op_recv)
+      in
+      List.iter
+        (fun (fragment : Node.alloc_site) ->
+          match
+            Jir.Hierarchy.resolve hierarchy fragment.a_cls
+              { Jir.Ast.mk_name = "onCreateView"; mk_arity = 0 }
+          with
+          | Some (owner, m) ->
+              let tmid = Node.mid_of_meth owner m in
+              push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj fragment);
+              let created = views_at state (Node.N_ret tmid) in
+              List.iter
+                (fun parent ->
+                  List.iter
+                    (fun child -> mark state (add_child state ~parent ~child))
+                    created)
+                containers
+          | None -> ())
+        fragments
+  | Framework.Api.Menu_add ->
+      (* Menu extension: mint a MenuItem per site, attach it under each
+         receiver menu, and feed the owning activity's
+         onOptionsItemSelected callback with it. *)
+      let hierarchy = state.app.Framework.App.hierarchy in
+      let item = Node.V_alloc (Node.menu_item_site op.site.o_site) in
+      List.iter
+        (fun menu ->
+          if Jir.Hierarchy.subtype hierarchy (Node.class_of_view menu) "Menu" then begin
+            mark state (add_child state ~parent:menu ~child:item);
+            out_view item;
+            (* add(group, itemId, order, title): the item id *)
+            (match op.op_args with
+            | _ :: id_arg :: _ ->
+                let ids = view_ids_at state id_arg in
+                let ids =
+                  if top_view_id_at state id_arg then Node.top_view_id_raw :: ids else ids
+                in
+                List.iter (fun id -> mark state (add_view_id state item id)) ids
+            | _ -> ());
+            match menu with
+            | Node.V_alloc site -> (
+                match Node.menu_owner site with
+                | Some activity -> (
+                    match
+                      Jir.Hierarchy.resolve hierarchy activity
+                        {
+                          Jir.Ast.mk_name = fst Framework.Lifecycle.on_options_item_selected;
+                          mk_arity = snd Framework.Lifecycle.on_options_item_selected;
+                        }
+                    with
+                    | Some (owner, m) -> (
+                        let tmid = Node.mid_of_meth owner m in
+                        match m.m_params with
+                        | (param, _) :: _ ->
+                            push_value state (Node.N_var (tmid, param)) (Node.V_view item)
+                        | [] -> ())
+                    | None -> ())
+                | None -> ())
+            | Node.V_infl _ -> ()
+          end)
+        (views_at state op.op_recv)
+  | Framework.Api.Set_adapter ->
+      (* Adapter extension: run the adapter's getView callback and make
+         its returned views children of the adapter view. *)
+      let hierarchy = state.app.Framework.App.hierarchy in
+      let adapters =
+        match op.op_args with
+        | arg :: _ ->
+            Graph.VS.fold
+              (fun v acc ->
+                match v with
+                | Node.V_obj site when Jir.Hierarchy.subtype hierarchy site.a_cls "Adapter" ->
+                    site :: acc
+                | _ -> acc)
+              (set_of state arg) []
+        | [] -> []
+      in
+      List.iter
+        (fun view ->
+          List.iter
+            (fun (adapter : Node.alloc_site) ->
+              match
+                Jir.Hierarchy.resolve hierarchy adapter.a_cls
+                  { Jir.Ast.mk_name = "getView"; mk_arity = 3 }
+              with
+              | Some (owner, m) ->
+                  let tmid = Node.mid_of_meth owner m in
+                  push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj adapter);
+                  (* parent parameter is the adapter view *)
+                  (match List.nth_opt m.m_params 2 with
+                  | Some (param, _) ->
+                      push_value state (Node.N_var (tmid, param)) (Node.V_view view)
+                  | None -> ());
+                  List.iter
+                    (fun child -> mark state (add_child state ~parent:view ~child))
+                    (views_at state (Node.N_ret tmid))
+              | None -> ())
+            adapters)
+        (views_at state op.op_recv)
+  | Framework.Api.Start_activity ->
+      (* Extension: inter-component control flow.  Sources are the
+         activities the call may execute on; targets are the activity
+         tokens reaching the argument. *)
+      let hierarchy = state.app.Framework.App.hierarchy in
+      let sources =
+        Graph.VS.fold
+          (fun v acc -> match v with Node.V_act a -> a :: acc | _ -> acc)
+          (set_of state op.op_recv) []
+      in
+      let targets =
+        match op.op_args with
+        | [] -> []
+        | arg :: _ ->
+            Graph.VS.fold
+              (fun v acc ->
+                match v with
+                | Node.V_obj site when Framework.Views.is_activity_class hierarchy site.a_cls ->
+                    site.a_cls :: acc
+                | Node.V_act a -> a :: acc
+                | _ -> acc)
+              (set_of state arg) []
+      in
+      List.iter
+        (fun from_ ->
+          List.iter (fun to_ -> mark state (Graph.add_transition g ~from_ ~to_)) targets)
+        sources
+
+(* Declarative listeners (android:onClick): views in a holder's
+   hierarchy carrying an onClick handler name behave as if the holder
+   registered itself as an OnClickListener whose handler is that
+   method. *)
+let register_declarative state holder view =
+  let hierarchy = state.app.Framework.App.hierarchy in
+  let label = match holder with Node.H_act a -> a | Node.H_dialog site -> site.Node.a_cls in
+  List.iter
+    (fun handler_name ->
+      match
+        Jir.Hierarchy.resolve hierarchy label { Jir.Ast.mk_name = handler_name; mk_arity = 1 }
+      with
+      | Some (owner, m) ->
+          let listener =
+            match holder with
+            | Node.H_act a -> Node.L_act a
+            | Node.H_dialog site -> Node.L_alloc site
+          in
+          mark state (add_view_listener state view listener ~iface:"OnClickListener");
+          if state.config.Config.listener_callbacks then begin
+            let tmid = Node.mid_of_meth owner m in
+            push_value state
+              (Node.N_var (tmid, Jir.Ast.this_var))
+              (match holder with
+              | Node.H_act a -> Node.V_act a
+              | Node.H_dialog site -> Node.V_obj site);
+            match m.m_params with
+            | (param, _) :: _ -> push_value state (Node.N_var (tmid, param)) (Node.V_view view)
+            | [] -> ()
+          end
+      | None -> ())
+    (Graph.onclicks_of state.graph view)
+
+let apply_declarative_handlers state =
+  List.iter
+    (fun holder ->
+      Graph.View_set.iter
+        (fun root ->
+          Graph.View_set.iter
+            (fun view -> register_declarative state holder view)
+            (descendants state ~include_self:true root))
+        (roots_of_holder state holder))
+    (holders state)
+
+(* Declaratively placed fragments (<fragment android:name="F"/>): the
+   platform instantiates F during inflation and attaches the views
+   returned by F.onCreateView under the placeholder node. *)
+let apply_declared_fragments state =
+  let g = state.graph in
+  let hierarchy = state.app.Framework.App.hierarchy in
+  List.iter
+    (fun view ->
+      match view with
+      | Node.V_infl infl ->
+          List.iter
+            (fun cls ->
+              match
+                Jir.Hierarchy.resolve hierarchy cls
+                  { Jir.Ast.mk_name = "onCreateView"; mk_arity = 0 }
+              with
+              | Some (owner, m) ->
+                  let fragment = Node.declared_fragment_site cls infl in
+                  let tmid = Node.mid_of_meth owner m in
+                  push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj fragment);
+                  List.iter
+                    (fun child -> mark state (add_child state ~parent:view ~child))
+                    (views_at state (Node.N_ret tmid))
+              | None -> ())
+            (Graph.declared_fragments_of g view)
+      | Node.V_alloc _ -> ())
+    (Graph.views_with_declared_fragments g)
+
+let seed_and_count state =
+  List.iter
+    (fun (node, values) -> Graph.VS.iter (fun v -> push_value state node v) values)
+    (Graph.seeds state.graph)
+
+(* The reference fixed point: re-apply every op against full sets each
+   round until nothing changes. *)
+let run_naive state =
+  seed_and_count state;
+  propagate_full state;
+  let ops = Graph.ops state.graph in
+  let iterations = ref 0 in
+  let continue_ = ref true in
+  while !continue_ && !iterations < state.config.Config.max_iterations do
+    incr iterations;
+    state.dirty <- false;
+    List.iter
+      (fun op ->
+        state.op_applications <- state.op_applications + 1;
+        apply_op state op)
+      ops;
+    apply_declarative_handlers state;
+    apply_declared_fragments state;
+    propagate_full state;
+    continue_ := state.dirty
+  done;
+  if !continue_ then
+    Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
+  !iterations
+
+(* The spec's fixpoint as graph rows: every node is its own
+   representative.  Interning happens here, after solving, so nothing
+   the spec computed depended on ids. *)
+let encode state =
+  let it = Graph.interner state.graph in
+  let rows tbl key fold elt =
+    let slots = Slots.create () in
+    Hashtbl.iter
+      (fun k set ->
+        let b = Slots.get slots (key it k) in
+        fold (fun e () -> ignore (Util.Bitset.add b (elt it e))) set ())
+      tbl;
+    slots.Slots.a
+  in
+  let view_rows tbl = rows tbl Intern.view Graph.View_set.fold Intern.view in
+  Graph.set_solution state.graph
+    {
+      Graph.sol_rep = [||];
+      sol_values = rows state.sets Intern.node Graph.VS.fold Intern.value;
+      sol_children = view_rows state.children;
+      sol_parents = view_rows state.parents;
+      sol_ids = rows state.ids Intern.view Graph.Int_set.fold Intern.rid;
+      sol_roots = rows state.roots Intern.holder Graph.View_set.fold Intern.view;
+      sol_listeners = rows state.listeners Intern.view Graph.Listener_set.fold Intern.listener;
+    }
+
+(* ------------------------------------------------------------------ *)
+(* Interned engine: the fixed point of [run_naive], computed
+   semi-naively over dense integer ids.  After seeding, every op runs
+   once; from then on an op is re-applied only when a location it
+   reads grew or a relation it consults changed.  Ops still read full
+   sets when applied, so the solution is identical to the naive
+   solver's.  Every location, abstract value,
+   view, listener entry and holder is hash-consed ([Intern]) when first
+   seen; solution sets, delta sets and the view relations become
+   [Util.Bitset] over those ids, and the (static) flow edges are frozen
+   into CSR int arrays.  Ops decode ids back to structural values only
+   at rule boundaries (hierarchy lookups, inflation, callbacks).  The
+   final rows are handed to the graph as they are ([ihand_over]): the
+   graph's solution store is these rows, decoded on demand, so every
+   downstream consumer (Analysis, Metrics, Export, Diff, tests) is
+   engine-agnostic. *)
 
 type istate = {
   iconfig : Config.t;
@@ -702,6 +806,8 @@ type istate = {
   mutable irc_children : bool;
   mutable irc_ids : bool;
   mutable irc_roots : bool;
+  mutable irc_onclick : bool;  (** a fresh inflation carried android:onClick handlers *)
+  mutable irc_fragments : bool;  (** a fresh inflation carried <fragment> placeholders *)
   (* warm (incremental) solving: copy-on-write over a previous solution.
      Solution sets and relation rows restored from a prior [solved] are
      aliased, never mutated in place; a borrowed row is copied the first
@@ -720,11 +826,6 @@ type istate = {
   ibor_by_id : Util.Bitset.t;
   ibor_roots : Util.Bitset.t;
   ibor_listeners : Util.Bitset.t;
-  itouched_children : Util.Bitset.t;  (** relation rows written during a warm solve *)
-  itouched_parents : Util.Bitset.t;
-  itouched_ids : Util.Bitset.t;
-  itouched_roots : Util.Bitset.t;
-  itouched_listeners : Util.Bitset.t;
   (* write recording: while an op (or the declarative/fragment pseudo
      pass) runs, every rep it pushes to is logged, so a later patch that
      invalidates the op knows which components its values reached.
@@ -929,9 +1030,8 @@ let idescendants st wid =
 
 (* Insert [v] into relation row [i], copy-on-write under a warm solve:
    a borrowed row (aliased from the previous solution) is copied before
-   it grows, and every row modified while warm is marked [touched] so
-   the warm materialisation re-installs exactly those rows. *)
-let rel_add st slots bor ?touched i v =
+   it grows. *)
+let rel_add st slots bor i v =
   match Slots.find slots i with
   | Some b when Util.Bitset.mem b v -> false
   | existing ->
@@ -945,13 +1045,12 @@ let rel_add st slots bor ?touched i v =
         | Some b -> b
         | None -> Slots.get slots i
       in
-      if st.iwarm then Option.iter (fun t -> ignore (Util.Bitset.add t i)) touched;
       Util.Bitset.add b v
 
 let iadd_child st ~parent ~child =
-  let grew = rel_add st st.ichildren st.ibor_children ~touched:st.itouched_children parent child in
+  let grew = rel_add st st.ichildren st.ibor_children parent child in
   if grew then begin
-    ignore (rel_add st st.iparents st.ibor_parents ~touched:st.itouched_parents child parent);
+    ignore (rel_add st st.iparents st.ibor_parents child parent);
     st.irc_children <- true;
     if Hashtbl.length st.idesc_memo > 0 then
       Util.Bitset.iter (fun v -> Hashtbl.remove st.idesc_memo v) (iancestors st parent)
@@ -959,17 +1058,17 @@ let iadd_child st ~parent ~child =
 
 let iadd_view_id st wid raw =
   let sym = Intern.rid st.it raw in
-  if rel_add st st.iids st.ibor_ids ~touched:st.itouched_ids wid sym then begin
+  if rel_add st st.iids st.ibor_ids wid sym then begin
     ignore (rel_add st st.iby_id st.ibor_by_id sym wid);
     st.irc_ids <- true
   end
 
 let iadd_holder_root st hid root =
   if Util.Bitset.add st.iholders_seen hid then st.iholder_ids <- hid :: st.iholder_ids;
-  if rel_add st st.iroots st.ibor_roots ~touched:st.itouched_roots hid root then st.irc_roots <- true
+  if rel_add st st.iroots st.ibor_roots hid root then st.irc_roots <- true
 
 let iadd_view_listener st wid entry =
-  ignore (rel_add st st.ilisteners st.ibor_listeners ~touched:st.itouched_listeners wid entry)
+  ignore (rel_add st st.ilisteners st.ibor_listeners wid entry)
 
 (* Value decoders over a location's solution set. *)
 
@@ -1044,28 +1143,36 @@ let ilisteners_at st iface nid =
       | _ -> ());
   List.rev !acc
 
-(* Inflation runs structurally ([Inflate] writes the graph-side layout
-   tables and memo); a fresh instantiation's subtree relations are then
-   imported into the id-level stores. *)
+(* Inflation runs structurally ([Inflate] records the memo and the cold
+   layout facts in the graph); a fresh instantiation's child and id
+   facts are imported into the id-level stores.  A fresh subtree
+   counts as relation growth even where a row restored by a warm solve
+   already holds its facts. *)
 let iinflate_at st ~site lid =
   let g = st.igraph in
   let package = st.iapp.Framework.App.package in
   match Layouts.Package.find_by_layout_id package lid with
   | None -> None
   | Some def ->
-      let already = Graph.find_inflation g ~site ~layout:def.name <> None in
-      let views =
+      let views, facts =
         Inflate.instantiate g ~resources:(Layouts.Package.resources package) ~site def
       in
-      if not already then
-        List.iter
-          (fun w ->
-            let wid = Intern.view st.it w in
-            Graph.View_set.iter
-              (fun child -> iadd_child st ~parent:wid ~child:(Intern.view st.it child))
-              (Graph.children_of g w);
-            Graph.Int_set.iter (fun raw -> iadd_view_id st wid raw) (Graph.ids_of_view g w))
-          views;
+      List.iter
+        (fun (m : Inflate.minted) ->
+          let wid = Intern.view st.it m.m_view in
+          List.iter
+            (fun child ->
+              st.irc_children <- true;
+              iadd_child st ~parent:wid ~child:(Intern.view st.it child))
+            m.m_children;
+          Option.iter
+            (fun raw ->
+              st.irc_ids <- true;
+              iadd_view_id st wid raw)
+            m.m_id;
+          if Graph.onclicks_of g m.m_view <> [] then st.irc_onclick <- true;
+          if Graph.declared_fragments_of g m.m_view <> [] then st.irc_fragments <- true)
+        facts;
       Some (Inflate.root views)
 
 let iinject_handler_flows st wid listener iface =
@@ -1583,6 +1690,8 @@ let ifreeze config app graph =
     irc_children = false;
     irc_ids = false;
     irc_roots = false;
+    irc_onclick = false;
+    irc_fragments = false;
     iwarm = false;
     iborrowed = Util.Bitset.create ();
     imutated = Util.Bitset.create ();
@@ -1593,11 +1702,6 @@ let ifreeze config app graph =
     ibor_by_id = Util.Bitset.create ();
     ibor_roots = Util.Bitset.create ();
     ibor_listeners = Util.Bitset.create ();
-    itouched_children = Util.Bitset.create ();
-    itouched_parents = Util.Bitset.create ();
-    itouched_ids = Util.Bitset.create ();
-    itouched_roots = Util.Bitset.create ();
-    itouched_listeners = Util.Bitset.create ();
     irec_writer = -1;
     irec_targets = Array.init (Array.length iops + 2) (fun _ -> Util.Bitset.create ());
     ipropagations = 0;
@@ -1605,71 +1709,21 @@ let ifreeze config app graph =
     iunion_calls = 0;
   }
 
-(* Shared decoders for materialisation: bitsets back to structural
-   sets.  [decoder] memoizes per-representative value decoding — every
-   member of a direct-edge cycle provably saturates to the same set, so
-   each component's bitset is decoded once. *)
-let iview_set it b =
-  Util.Bitset.fold (fun wid acc -> Graph.View_set.add (Intern.view_of it wid) acc) b
-    Graph.View_set.empty
-
-let idecoder it =
-  let decoded = Hashtbl.create 64 in
-  fun rid b ->
-    match Hashtbl.find_opt decoded rid with
-    | Some vs -> vs
-    | None ->
-        let vs =
-          Util.Bitset.fold
-            (fun vid acc -> Graph.VS.add (Intern.value_of it vid) acc)
-            b Graph.VS.empty
-        in
-        Hashtbl.add decoded rid vs;
-        vs
-
-(* Write the final id-level solution back into the graph's structural
-   tables so every downstream consumer sees exactly what the naive
-   engine would have produced. *)
-let imaterialize st =
-  let g = st.igraph in
-  let it = st.it in
-  let view_set b = iview_set it b in
-  let non_empty f nid b = if not (Util.Bitset.is_empty b) then f nid b in
-  Graph.reset_solution_tables g;
-  (* Points-to sets are solved per SCC representative; expand back to
-     member nodes here (including ids minted mid-solve, which are their
-     own reps). *)
-  let decode = idecoder it in
-  for nid = 0 to Intern.node_count it - 1 do
-    let rid = irep st nid in
-    match Slots.find st.sols rid with
-    | Some b when not (Util.Bitset.is_empty b) ->
-        Graph.install_set g (Intern.node_of it nid) (decode rid b)
-    | _ -> ()
-  done;
-  Slots.iteri
-    (non_empty (fun wid b -> Graph.install_children g (Intern.view_of it wid) (view_set b)))
-    st.ichildren;
-  Slots.iteri
-    (non_empty (fun wid b -> Graph.install_parents g (Intern.view_of it wid) (view_set b)))
-    st.iparents;
-  Slots.iteri
-    (non_empty (fun wid b ->
-         Graph.install_ids g (Intern.view_of it wid)
-           (Util.Bitset.fold
-              (fun sym acc -> Graph.Int_set.add (Intern.rid_of it sym) acc)
-              b Graph.Int_set.empty)))
-    st.iids;
-  Slots.iteri
-    (non_empty (fun hid b -> Graph.install_roots g (Intern.holder_of it hid) (view_set b)))
-    st.iroots;
-  Slots.iteri
-    (non_empty (fun wid b ->
-         Graph.install_listeners g (Intern.view_of it wid)
-           (Util.Bitset.fold
-              (fun eid acc -> Graph.Listener_set.add (Intern.listener_of it eid) acc)
-              b Graph.Listener_set.empty)))
-    st.ilisteners
+(* The final rows become the graph's solution store as they are: no
+   decoding and no copy.  Capture aliases the same arrays, and nothing
+   writes them once the solve is over (a warm solve copies before it
+   writes). *)
+let ihand_over st =
+  Graph.set_solution st.igraph
+    {
+      Graph.sol_rep = st.nrep;
+      sol_values = st.sols.Slots.a;
+      sol_children = st.ichildren.Slots.a;
+      sol_parents = st.iparents.Slots.a;
+      sol_ids = st.iids.Slots.a;
+      sol_roots = st.iroots.Slots.a;
+      sol_listeners = st.ilisteners.Slots.a;
+    }
 
 type iret_target = IT_op of int | IT_frags
 
@@ -1733,24 +1787,22 @@ let iloop st ~record ~init config =
       set_writer (-1)
     end;
     ipropagate st ~changed:on_changed;
-    let rc = Graph.take_rel_changes st.igraph in
-    let rc_children = rc.Graph.rc_children || st.irc_children in
-    let rc_ids = rc.Graph.rc_ids || st.irc_ids in
-    let rc_roots = rc.Graph.rc_roots || st.irc_roots in
-    st.irc_children <- false;
-    st.irc_ids <- false;
-    st.irc_roots <- false;
-    if rc_children then begin
+    if st.irc_children then begin
       List.iter schedule st.children_readers;
       pending_decl := true
     end;
-    if rc_ids then List.iter schedule st.ids_readers;
-    if rc_roots then begin
+    if st.irc_ids then List.iter schedule st.ids_readers;
+    if st.irc_roots then begin
       List.iter schedule st.roots_readers;
       pending_decl := true
     end;
-    if rc.Graph.rc_onclick then pending_decl := true;
-    if rc.Graph.rc_fragments then pending_frags := true
+    if st.irc_onclick then pending_decl := true;
+    if st.irc_fragments then pending_frags := true;
+    st.irc_children <- false;
+    st.irc_ids <- false;
+    st.irc_roots <- false;
+    st.irc_onclick <- false;
+    st.irc_fragments <- false
   done;
   if work_remaining () then
     Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
@@ -1789,7 +1841,7 @@ let istats st ~iterations ~warm_solve ~dirty_comps ~reused_comps ~fallback =
 let run_interned config (app : Framework.App.t) graph =
   let st = ifreeze config app graph in
   let iterations, _ret_deps = iloop st ~record:false ~init:(icold_init st) config in
-  imaterialize st;
+  ihand_over st;
   istats st ~iterations ~warm_solve:false ~dirty_comps:0 ~reused_comps:0 ~fallback:None
 
 (* ------------------------------------------------------------------ *)
@@ -1954,10 +2006,10 @@ type edit_script = {
 type rd = RD_op of int | RD_frags
 
 (* A captured solution.  Treat every field as read-only: the bitsets
-   are shared (aliased) with later warm solves, and [sd_graph] is the
-   donor of structural solution tables for warm materialisation — it
-   must never be re-solved, or the tables every captured row aliases
-   would be clobbered. *)
+   are shared (aliased) with later warm solves and with [sd_graph]'s
+   solution store, and [sd_graph] donates its cold tables (inflation
+   memo, handlers, placeholders, root layouts) to warm solves — it must
+   never be re-solved, or those tables would be cleared. *)
 type solved = {
   sd_config : Config.t;
   sd_app_name : string;
@@ -2167,20 +2219,10 @@ let compute_taints (app : Framework.App.t) graph =
     let fc = Graph.frozen_flow graph in
     let hierarchy = app.Framework.App.hierarchy in
     let package = app.Framework.App.package in
-    let n = Intern.node_count it in
-    (* The naive engine solves some nodes without ever interning
-       them (handler params injected by value, not by edge); the lift
-       rule must still see their sets, so append them after the
-       CSR-addressable prefix.  They have no flow edges and no op
-       references — only markers/lift/install touch them. *)
-    let extras =
-      Array.of_list
-        (List.filter (fun node -> Intern.find_node it node = None) (Graph.locations graph))
-    in
-    let structural =
-      Array.append (Array.init n (fun nid -> Intern.node_of it nid)) extras
-    in
-    let total = Array.length structural in
+    (* Every node with a solution row is interned (the naive engine
+       interns when it encodes its fixpoint). *)
+    let total = Intern.node_count it in
+    let structural = Array.init total (fun nid -> Intern.node_of it nid) in
     let set_at = Array.init total (fun i -> Graph.set_of graph structural.(i)) in
     let taint = Array.make total Graph.VS.empty in
     let w = ref Graph.View_set.empty in
@@ -2323,7 +2365,7 @@ let run_solved ?fallback config (app : Framework.App.t) graph =
   Graph.reset_sets graph;
   let st = ifreeze config app graph in
   let iterations, ret_deps = iloop st ~record:true ~init:(icold_init st) config in
-  imaterialize st;
+  ihand_over st;
   compute_taints app graph;
   let stats = istats st ~iterations ~warm_solve:false ~dirty_comps:0 ~reused_comps:0 ~fallback in
   (stats, icapture st ~config ~app ~ret_deps (fun _ -> None))
@@ -2380,64 +2422,6 @@ let iresolve_dependent = function
   | Framework.Api.Set_adapter ->
       true
   | _ -> false
-
-(* Warm materialisation: copy the previous solve's structural tables,
-   then re-install only what changed — rows of dirty or grown
-   components, nodes minted this solve, rows of relations rebuilt
-   wholesale, and relation rows touched while warm. *)
-let imaterialize_warm st ~prev ~dirty ~children_cleared ~ids_cleared ~roots_cleared
-    ~listeners_cleared =
-  let g = st.igraph in
-  let it = st.it in
-  let view_set b = iview_set it b in
-  Graph.reset_solution_tables g;
-  Graph.copy_solution_tables ~children:(not children_cleared) ~ids:(not ids_cleared)
-    ~roots:(not roots_cleared) ~listeners:(not listeners_cleared) ~src:prev.sd_graph g;
-  let decode = idecoder it in
-  (* When no component was invalidated or grown, only nodes minted
-     this solve can be stale — the copied rows cover the rest. *)
-  let lo =
-    if Util.Bitset.is_empty dirty && Util.Bitset.is_empty st.imutated then prev.sd_node_total
-    else 0
-  in
-  for nid = lo to Intern.node_count it - 1 do
-    let rid = irep st nid in
-    let stale =
-      nid >= prev.sd_node_total || Util.Bitset.mem dirty rid || Util.Bitset.mem st.imutated rid
-    in
-    if stale then
-      match Slots.find st.sols rid with
-      | Some b when not (Util.Bitset.is_empty b) ->
-          Graph.install_set g (Intern.node_of it nid) (decode rid b)
-      | _ ->
-          (* a copied row whose set emptied out (node dropped by the
-             patch) must not survive; removed nodes are provably dirty *)
-          if nid < prev.sd_node_total then Graph.remove_solution_row g (Intern.node_of it nid)
-  done;
-  let fixup cleared touched slots install =
-    if cleared then
-      Slots.iteri (fun i b -> if not (Util.Bitset.is_empty b) then install i b) slots
-    else
-      Util.Bitset.iter
-        (fun i -> match Slots.find slots i with Some b -> install i b | None -> ())
-        touched
-  in
-  fixup children_cleared st.itouched_children st.ichildren (fun wid b ->
-      Graph.install_children g (Intern.view_of it wid) (view_set b));
-  fixup children_cleared st.itouched_parents st.iparents (fun wid b ->
-      Graph.install_parents g (Intern.view_of it wid) (view_set b));
-  fixup ids_cleared st.itouched_ids st.iids (fun wid b ->
-      Graph.install_ids g (Intern.view_of it wid)
-        (Util.Bitset.fold
-           (fun sym acc -> Graph.Int_set.add (Intern.rid_of it sym) acc)
-           b Graph.Int_set.empty));
-  fixup roots_cleared st.itouched_roots st.iroots (fun hid b ->
-      Graph.install_roots g (Intern.holder_of it hid) (view_set b));
-  fixup listeners_cleared st.itouched_listeners st.ilisteners (fun wid b ->
-      Graph.install_listeners g (Intern.view_of it wid)
-        (Util.Bitset.fold
-           (fun eid acc -> Graph.Listener_set.add (Intern.listener_of it eid) acc)
-           b Graph.Listener_set.empty))
 
 (* Warm re-solve against a previous solution.  [graph] must be the
    patched app's graph extracted over [prev]'s interner; [edits] the
@@ -2679,9 +2663,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
         List.iter
           (fun (view, lids) ->
             List.iter (fun lid -> ignore (Graph.add_root_layout graph view lid)) lids)
-          (Graph.root_layout_entries prev.sd_graph);
-        (* restoration must not look like solve-time growth *)
-        ignore (Graph.take_rel_changes graph)
+          (Graph.root_layout_entries prev.sd_graph)
       end;
       let iwarm_init ~schedule ~on_changed ~pending_decl ~pending_frags ~ret_deps:_ ~note_ret =
         List.iter
@@ -2768,9 +2750,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
         ipropagate st ~changed:on_changed
       in
       let iterations, ret_deps = iloop st ~record:true ~init:iwarm_init config in
-      imaterialize_warm st ~prev ~dirty ~children_cleared:!children_cleared
-        ~ids_cleared:!ids_cleared ~roots_cleared:!roots_cleared
-        ~listeners_cleared:!listeners_cleared;
+      ihand_over st;
       let stats =
         istats st ~iterations ~warm_solve:true ~dirty_comps:(Util.Bitset.cardinal dirty)
           ~reused_comps:!reused ~fallback:None
@@ -2808,12 +2788,19 @@ let run config (app : Framework.App.t) graph =
           graph;
           succs = Graph.succ_table graph;
           worklist = Util.Worklist.create ();
+          sets = Hashtbl.create 256;
+          children = Hashtbl.create 64;
+          parents = Hashtbl.create 64;
+          ids = Hashtbl.create 64;
+          roots = Hashtbl.create 16;
+          listeners = Hashtbl.create 32;
           propagations = 0;
           op_applications = 0;
           dirty = false;
         }
       in
       let iterations = run_naive state in
+      encode state;
       compute_taints app graph;
       {
         iterations;

@@ -46,9 +46,10 @@ type stats = {
 }
 
 val run : Config.t -> Framework.App.t -> Graph.t -> stats
-(** Mutates the graph's points-to sets and relations.  Safe to re-run:
-    sets are reset from the seeds first.  The engine is selected by
-    [config.solver]; both produce the same solution. *)
+(** Replaces the graph's solution ({!Graph.set_solution}) and its cold
+    relations.  Safe to re-run: solving restarts from the seeds.  The
+    engine is selected by [config.solver]; both produce the same
+    solution. *)
 
 (** {1 Incremental re-analysis}
 
@@ -94,9 +95,9 @@ type rd = RD_op of int | RD_frags
 
 (** A captured solution.  The record is exposed for persistence
     ({!Snapshot}); treat every field as READ-ONLY — the bitsets are
-    aliased by later warm solves, and [sd_graph] donates structural
-    solution tables to warm materialisation, so it must never be
-    re-solved. *)
+    aliased by later warm solves and by [sd_graph]'s solution store,
+    and [sd_graph] donates its cold relations to warm solves, so it
+    must never be re-solved. *)
 type solved = {
   sd_config : Config.t;
   sd_app_name : string;
@@ -176,7 +177,7 @@ val solved_class_fp : solved -> string
 val run_solved : ?fallback:string -> Config.t -> Framework.App.t -> Graph.t -> stats * solved
 (** Full solve that also captures the solution for warm restarts.
     Always uses the interned engine regardless of [config.solver] (the
-    captured state is id-level); the installed solution is identical
+    captured state is id-level); the graph's solution is identical
     either way.  [?fallback] is threaded into [stats.fallback] when
     this full solve is standing in for a refused warm start. *)
 

@@ -1,6 +1,7 @@
 (* Naive/interned solver equivalence: the semi-naive interned engine
-   must produce bit-identical solutions — points-to sets, hierarchies,
-   id/listener/onclick relations, holder roots, and transitions — on
+   must produce bit-identical solutions — points-to sets and their
+   taint planes, hierarchies (both directions), id/listener/onclick
+   relations, holder roots, and transitions — on
    every app we can generate.  The naive loop is the executable
    specification; the interned solver is the optimization under test.
    [check_same_solution] is the shared comparator of every engine
@@ -41,7 +42,9 @@ let check_same_solution name (a : Analysis.t) (b : Analysis.t) =
       let va = Graph.set_of a.graph node and vb = Graph.set_of b.graph node in
       if not (Graph.VS.equal va vb) then
         fail "points-to sets differ at %a (%d vs %d values)" Node.pp node (Graph.VS.cardinal va)
-          (Graph.VS.cardinal vb))
+          (Graph.VS.cardinal vb);
+      if not (Graph.VS.equal (Graph.taints_of a.graph node) (Graph.taints_of b.graph node)) then
+        fail "taints differ at %a" Node.pp node)
     locations;
   (* view relations over the union of both solutions' views *)
   let views = Graph.View_set.union (all_views a) (all_views b) in
@@ -49,6 +52,8 @@ let check_same_solution name (a : Analysis.t) (b : Analysis.t) =
     (fun view ->
       if not (Graph.View_set.equal (Graph.children_of a.graph view) (Graph.children_of b.graph view))
       then fail "children differ at %a" Node.pp_view view;
+      if not (Graph.View_set.equal (Graph.parents_of a.graph view) (Graph.parents_of b.graph view))
+      then fail "parents differ at %a" Node.pp_view view;
       if not (Graph.Int_set.equal (Graph.ids_of_view a.graph view) (Graph.ids_of_view b.graph view))
       then fail "ids differ at %a" Node.pp_view view;
       if

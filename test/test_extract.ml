@@ -80,18 +80,21 @@ let test_unknown_receiver_gets_both () =
   let g = graph_of code in
   Alcotest.check (Alcotest.list Alcotest.string) "platform op kept" [ "FindView" ] (kinds g)
 
+(* The initial values extraction seeds at a location. *)
+let seeded_at g node =
+  List.fold_left
+    (fun acc (n, vs) -> if Node.equal n node then Graph.VS.union vs acc else acc)
+    Graph.VS.empty (Graph.seeds g)
+
 let test_callback_seeding () =
   let g =
     graph_of
       {|class A extends Activity { method onCreate(): void { } method onResume(): void { } }|}
   in
   let this_of name =
-    Graph.set_of g
+    seeded_at g
       (Node.N_var ({ Node.mid_cls = "A"; mid_name = name; mid_arity = 0 }, Jir.Ast.this_var))
   in
-  Graph.reset_sets g;
-  (* apply seeds manually *)
-  List.iter (fun (n, vs) -> Graph.VS.iter (fun v -> ignore (Graph.add_value g n v)) vs) (Graph.seeds g);
   Alcotest.check Alcotest.bool "onCreate seeded" true
     (Graph.VS.mem (Node.V_act "A") (this_of "onCreate"));
   Alcotest.check Alcotest.bool "onResume seeded" true
@@ -105,9 +108,8 @@ let test_inherited_callback_seeding () =
       {|class Base extends Activity { method onCreate(): void { } }
         class Derived extends Base { }|}
   in
-  List.iter (fun (n, vs) -> Graph.VS.iter (fun v -> ignore (Graph.add_value g n v)) vs) (Graph.seeds g);
   let s =
-    Graph.set_of g
+    seeded_at g
       (Node.N_var ({ Node.mid_cls = "Base"; mid_name = "onCreate"; mid_arity = 0 }, Jir.Ast.this_var))
   in
   Alcotest.check Alcotest.bool "both activities reach the shared onCreate" true

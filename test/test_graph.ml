@@ -9,13 +9,6 @@ let var name v = Node.N_var (mid name, v)
 let infl ?(path = []) ?(cls = "View") ?vid name =
   Node.V_infl { Node.v_site = site name; v_layout = "l"; v_path = path; v_cls = cls; v_vid = vid }
 
-let test_add_value_grows_once () =
-  let g = Graph.create () in
-  let n = var "m" "x" in
-  Alcotest.check Alcotest.bool "first add" true (Graph.add_value g n (Node.V_view_id 1));
-  Alcotest.check Alcotest.bool "second add" false (Graph.add_value g n (Node.V_view_id 1));
-  Alcotest.check Alcotest.int "set size" 1 (Graph.VS.cardinal (Graph.set_of g n))
-
 let test_edges_dedup () =
   let g = Graph.create () in
   let a = var "m" "a" and b = var "m" "b" in
@@ -25,72 +18,140 @@ let test_edges_dedup () =
   Alcotest.check Alcotest.int "two distinct edges" 2 (Graph.edge_count g);
   Alcotest.check Alcotest.int "succs" 2 (List.length (Graph.succs g a))
 
-let test_seeds_survive_reset () =
-  let g = Graph.create () in
-  let n = var "m" "x" in
-  Graph.seed g n (Node.V_act "A");
-  ignore (Graph.add_value g n (Node.V_view_id 9));
-  Graph.reset_sets g;
-  Alcotest.check Alcotest.int "sets cleared" 0 (Graph.VS.cardinal (Graph.set_of g n));
-  Alcotest.check Alcotest.int "seed kept" 1 (List.length (Graph.seeds g))
+(* ------------------------------------------------------------------ *)
+(* The solution store, read back from solved graphs.  Each check runs
+   on both engines: the naive spec encodes its private tables into the
+   graph's rows once, the interned engine hands its rows over, and the
+   same decoders must read both. *)
+
+let solved ?(layouts = []) code =
+  match Framework.App.of_source ~name:"G" ~code ~layouts with
+  | Error e -> Alcotest.failf "of_source: %s" e
+  | Ok app ->
+      List.map
+        (fun solver ->
+          let r = Analysis.analyze ~config:{ Config.default with solver } app in
+          (Config.solver_name solver, r))
+        [ Config.Naive; Config.Interned ]
+
+let on_create_var v = Analysis.var ~cls:"A" ~meth:"onCreate" ~arity:0 v
+
+(* The one view at [v] in [A.onCreate]. *)
+let view_at engine (r : Analysis.t) v =
+  match Graph.views_of r.graph (on_create_var v) with
+  | [ w ] -> w
+  | ws -> Alcotest.failf "%s: expected one view at %s, got %d" engine v (List.length ws)
+
+let test_value_held_once () =
+  List.iter
+    (fun (engine, (r : Analysis.t)) ->
+      let z = on_create_var "z" in
+      Alcotest.check Alcotest.int (engine ^ ": set size") 1
+        (Graph.VS.cardinal (Graph.set_of r.graph z));
+      Alcotest.check Alcotest.int (engine ^ ": views") 1 (List.length (Graph.views_of r.graph z)))
+    (solved
+       {|class A extends Activity {
+           method onCreate(): void { b = new Button(); x = b; y = b; z = x; z = y; } }|})
 
 let test_children_relation () =
-  let g = Graph.create () in
-  let p = infl "a" and c1 = infl ~path:[ 0 ] "a" and c2 = infl ~path:[ 1 ] "a" in
-  Alcotest.check Alcotest.bool "grew" true (Graph.add_child g ~parent:p ~child:c1);
-  Alcotest.check Alcotest.bool "idempotent" false (Graph.add_child g ~parent:p ~child:c1);
-  ignore (Graph.add_child g ~parent:p ~child:c2);
-  Alcotest.check Alcotest.int "children" 2 (Graph.View_set.cardinal (Graph.children_of g p));
-  Alcotest.check Alcotest.bool "parents inverse" true
-    (Graph.View_set.mem p (Graph.parents_of g c1))
+  List.iter
+    (fun (engine, r) ->
+      let p = view_at engine r "p" and c1 = view_at engine r "c1" in
+      Alcotest.check Alcotest.int (engine ^ ": children") 2
+        (Graph.View_set.cardinal (Graph.children_of r.Analysis.graph p));
+      Alcotest.check Alcotest.bool (engine ^ ": parents inverse") true
+        (Graph.View_set.mem p (Graph.parents_of r.graph c1)))
+    (solved
+       {|class A extends Activity {
+           method onCreate(): void {
+             p = new LinearLayout(); c1 = new Button(); c2 = new TextView();
+             p.addView(c1); p.addView(c2); p.addView(c1);
+           } }|})
 
 let test_descendants () =
-  let g = Graph.create () in
-  let a = infl "a" and b = infl ~path:[ 0 ] "a" and c = infl ~path:[ 0; 0 ] "a" in
-  ignore (Graph.add_child g ~parent:a ~child:b);
-  ignore (Graph.add_child g ~parent:b ~child:c);
-  Alcotest.check Alcotest.int "inclusive" 3
-    (Graph.View_set.cardinal (Graph.descendants g ~include_self:true a));
-  Alcotest.check Alcotest.int "strict" 2
-    (Graph.View_set.cardinal (Graph.descendants g ~include_self:false a));
-  Alcotest.check Alcotest.bool "transitive" true
-    (Graph.View_set.mem c (Graph.descendants g ~include_self:false a))
+  List.iter
+    (fun (engine, r) ->
+      let a = view_at engine r "a" and c = view_at engine r "c" in
+      let g = r.Analysis.graph in
+      Alcotest.check Alcotest.int (engine ^ ": inclusive") 3
+        (Graph.View_set.cardinal (Graph.descendants g ~include_self:true a));
+      Alcotest.check Alcotest.int (engine ^ ": strict") 2
+        (Graph.View_set.cardinal (Graph.descendants g ~include_self:false a));
+      Alcotest.check Alcotest.bool (engine ^ ": transitive") true
+        (Graph.View_set.mem c (Graph.descendants g ~include_self:false a)))
+    (solved
+       {|class A extends Activity {
+           method onCreate(): void {
+             a = new LinearLayout(); b = new FrameLayout(); c = new Button();
+             a.addView(b); b.addView(c);
+           } }|})
 
 let test_descendants_cycle_safe () =
   (* The abstract parent-child relation can be cyclic (unlike the
-     concrete heap); BFS must still terminate. *)
-  let g = Graph.create () in
-  let a = infl "a" and b = infl ~path:[ 0 ] "a" in
-  ignore (Graph.add_child g ~parent:a ~child:b);
-  ignore (Graph.add_child g ~parent:b ~child:a);
-  Alcotest.check Alcotest.int "cycle bounded" 2
-    (Graph.View_set.cardinal (Graph.descendants g ~include_self:true a))
+     concrete heap); the walk must still terminate. *)
+  List.iter
+    (fun (engine, r) ->
+      let a = view_at engine r "a" in
+      Alcotest.check Alcotest.int (engine ^ ": cycle bounded") 2
+        (Graph.View_set.cardinal (Graph.descendants r.Analysis.graph ~include_self:true a)))
+    (solved
+       {|class A extends Activity {
+           method onCreate(): void {
+             a = new LinearLayout(); b = new FrameLayout(); a.addView(b); b.addView(a);
+           } }|})
+
+let ids_layout = ("main", {|<LinearLayout android:id="@+id/x"><Button android:id="@+id/y" /></LinearLayout>|})
 
 let test_view_ids () =
-  let g = Graph.create () in
-  let v = infl "a" in
-  ignore (Graph.add_view_id g v 100);
-  ignore (Graph.add_view_id g v 200);
-  Alcotest.check Alcotest.bool "both ids" true
-    (Graph.Int_set.mem 100 (Graph.ids_of_view g v) && Graph.Int_set.mem 200 (Graph.ids_of_view g v))
+  List.iter
+    (fun (engine, (r : Analysis.t)) ->
+      let id name =
+        Option.get
+          (Layouts.Resource.find_view_id (Layouts.Package.resources r.app.Framework.App.package) name)
+      in
+      let ids = Graph.ids_of_view r.graph (view_at engine r "v") in
+      Alcotest.check Alcotest.bool (engine ^ ": both ids") true
+        (Graph.Int_set.mem (id "x") ids && Graph.Int_set.mem (id "y") ids))
+    (solved ~layouts:[ ids_layout ]
+       {|class A extends Activity {
+           method onCreate(): void { v = new Button(); i = R.id.x; j = R.id.y; v.setId(i); v.setId(j); } }|})
 
 let test_holder_roots () =
-  let g = Graph.create () in
-  let v = infl "a" in
-  ignore (Graph.add_holder_root g (Node.H_act "A") v);
-  Alcotest.check Alcotest.int "root" 1
-    (Graph.View_set.cardinal (Graph.roots_of_holder g (Node.H_act "A")));
-  Alcotest.check Alcotest.int "holders" 1 (List.length (Graph.holders g))
+  List.iter
+    (fun (engine, (r : Analysis.t)) ->
+      Alcotest.check Alcotest.int (engine ^ ": root") 1
+        (Graph.View_set.cardinal (Graph.roots_of_holder r.graph (Node.H_act "A")));
+      Alcotest.check Alcotest.int (engine ^ ": holders") 1 (List.length (Graph.holders r.graph)))
+    (solved ~layouts:[ ids_layout ]
+       {|class A extends Activity {
+           method onCreate(): void { l = R.layout.main; this.setContentView(l); } }|})
 
 let test_listeners_relation () =
-  let g = Graph.create () in
-  let v = infl "a" in
-  let l = Node.L_act "A" in
-  ignore (Graph.add_view_listener g v l ~iface:"OnClickListener");
-  ignore (Graph.add_view_listener g v l ~iface:"OnKeyListener");
-  Alcotest.check Alcotest.int "two registrations" 2
-    (Graph.Listener_set.cardinal (Graph.listeners_of_view g v));
-  Alcotest.check Alcotest.int "views with listeners" 1 (List.length (Graph.views_with_listeners g))
+  List.iter
+    (fun (engine, r) ->
+      let g = r.Analysis.graph in
+      Alcotest.check Alcotest.int (engine ^ ": two registrations") 2
+        (Graph.Listener_set.cardinal (Graph.listeners_of_view g (view_at engine r "b")));
+      Alcotest.check Alcotest.int (engine ^ ": views with listeners") 1
+        (List.length (Graph.views_with_listeners g)))
+    (solved
+       {|class A extends Activity {
+           method onCreate(): void {
+             b = new Button(); j = new L(); b.setOnClickListener(j); b.setOnKeyListener(j);
+           } }
+         class L implements OnClickListener, OnKeyListener { }|})
+
+let test_seeds_survive_reset () =
+  List.iter
+    (fun (engine, (r : Analysis.t)) ->
+      let n = on_create_var "b" in
+      Alcotest.check Alcotest.int (engine ^ ": solved") 1 (Graph.VS.cardinal (Graph.set_of r.graph n));
+      Graph.reset_sets r.graph;
+      Alcotest.check Alcotest.int (engine ^ ": sets cleared") 0
+        (Graph.VS.cardinal (Graph.set_of r.graph n));
+      Alcotest.check Alcotest.bool (engine ^ ": seed kept") true
+        (List.exists (fun (m, _) -> Node.equal m n) (Graph.seeds r.graph)))
+    (solved {|class A extends Activity { method onCreate(): void { b = new Button(); } }|})
 
 let test_inflation_memo () =
   let g = Graph.create () in
@@ -115,12 +176,29 @@ let test_locations () =
 let test_dot_output () =
   let g = Graph.create () in
   Graph.add_edge g (var "m" "a") (var "m" "b");
-  ignore (Graph.add_child g ~parent:(infl "a") ~child:(infl ~path:[ 0 ] "a"));
   let dot = Fmt.str "%a" Graph.pp_dot g in
   Alcotest.check Alcotest.bool "digraph wrapper" true
     (String.length dot > 20
     && String.sub dot 0 7 = "digraph"
-    && String.contains dot '}')
+    && String.contains dot '}');
+  (* relationship edges come from the solution rows *)
+  List.iter
+    (fun (engine, (r : Analysis.t)) ->
+      let dot = Fmt.str "%a" Graph.pp_dot r.graph in
+      let has sub =
+        let n = String.length sub in
+        let rec go i = i + n <= String.length dot && (String.sub dot i n = sub || go (i + 1)) in
+        go 0
+      in
+      Alcotest.check Alcotest.bool (engine ^ ": child edge") true (has "label=child]");
+      Alcotest.check Alcotest.bool (engine ^ ": listener edge") true
+        (has "label=\"listener:OnClickListener\"]"))
+    (solved
+       {|class A extends Activity {
+           method onCreate(): void {
+             p = new LinearLayout(); b = new Button(); p.addView(b); j = new L(); b.setOnClickListener(j);
+           } }
+         class L implements OnClickListener { }|})
 
 (* ------------------------------------------------------------------ *)
 (* Frozen flow CSR and its SCC condensation *)
@@ -186,7 +264,7 @@ let test_frozen_flow_memo_invalidation () =
 
 let suite =
   [
-    Alcotest.test_case "add_value grows once" `Quick test_add_value_grows_once;
+    Alcotest.test_case "points-to sets hold a value once" `Quick test_value_held_once;
     Alcotest.test_case "edge dedup by kind" `Quick test_edges_dedup;
     Alcotest.test_case "reset keeps seeds" `Quick test_seeds_survive_reset;
     Alcotest.test_case "children relation" `Quick test_children_relation;

@@ -217,7 +217,33 @@ let test_snapshot_corrupt () =
           Out_channel.output_string oc "{\"magic\": \"SOMETHING-ELSE\", \"version\": 1}");
       match Snapshot.load path with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "foreign file loaded")
+      | Ok _ -> Alcotest.fail "foreign file loaded");
+  (* A well-formed document whose solution rows name an id past the end
+     of its pool: rows are decoded lazily after loading, so the loader
+     must refuse the document up front. *)
+  let _, solved = Incremental.analyze_solved (inc_app ()) in
+  let it = Solve.solved_interner solved in
+  let dangle field id = function
+    | Util.Json.Obj fields ->
+        Util.Json.Obj
+          (List.map
+             (function
+               | f, Util.Json.List (Util.Json.List [ i; _ ] :: rest) when f = field ->
+                   (f, Util.Json.List (Util.Json.List [ i; Util.Json.List [ Util.Json.Int id ] ] :: rest))
+               | kv -> kv)
+             fields)
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  List.iter
+    (fun (field, id) ->
+      match Snapshot.of_json (dangle field id (Snapshot.to_json solved)) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "snapshot with a dangling %s id loaded" field)
+    [
+      ("sols", Intern.value_count it);
+      ("children", Intern.view_count it);
+      ("listeners", Intern.listener_count it);
+    ]
 
 let test_snapshot_stale_version () =
   let app = inc_app () in
