@@ -31,12 +31,6 @@ let xbmc_small_patch app =
   | Ok patched -> patched
   | Error msg -> failwith ("incremental bench patch failed: " ^ msg)
 
-(* A deterministic mid-list variable for the point-query benches: far
-   enough from the seeds that the backward walk has real work to do. *)
-let query_probe (r : Gator.Analysis.t) =
-  let locations = Gator.Graph.locations r.Gator.Analysis.graph in
-  List.nth locations (List.length locations / 2)
-
 (* ------------------------------------------------------------------ *)
 (* Reproduction output: the rows/series the paper reports. *)
 
@@ -179,27 +173,6 @@ let tests () =
           fun () ->
             Gator.Solve.run_incremental ~prev ~edits ~new_shape Gator.Config.default patched
               graph));
-    (* Demand-driven point query: reverse-index build + one backward
-       walk on an already-solved XBMC — the daemon's cold-query cost,
-       to be read against the full-solve rows above (the forward way
-       to answer the same question). *)
-    Test.make ~name:"query/backward-vs-forward(XBMC)"
-      (Staged.stage
-         (let r, solved = Gator.Incremental.analyze_solved xbmc in
-          let hierarchy = xbmc.Framework.App.hierarchy in
-          let probe = query_probe r in
-          fun () ->
-            let q = Gator.Query.create ~hierarchy solved in
-            Gator.Query.points_to q probe));
-    (* The daemon's steady state: resident query engine, memo warm. *)
-    Test.make ~name:"query/warm-point(XBMC)"
-      (Staged.stage
-         (let r, solved = Gator.Incremental.analyze_solved xbmc in
-          let hierarchy = xbmc.Framework.App.hierarchy in
-          let probe = query_probe r in
-          let q = Gator.Query.create ~hierarchy solved in
-          let () = ignore (Gator.Query.points_to q probe) in
-          fun () -> Gator.Query.points_to q probe));
     (* Ablations: each knob on the XBMC outlier *)
     config_bench "ablation/default(XBMC)" Gator.Config.default xbmc;
     config_bench "ablation/no-cast-filter(XBMC)"
@@ -370,70 +343,6 @@ let incremental_head_to_head () =
   print_newline ();
   (full_seconds, warm_seconds, ratio, warm_stats, identical)
 
-(* Demand-driven query head-to-head on XBMC: answering one point query
-   the forward way (a full analysis, then one lookup) vs the daemon's
-   way (backward walk over the reverse index of an already-solved
-   state), plus the warm steady state (resident engine, memo
-   populated) amortised over every variable in the app.  The query
-   stats counters prove the warm answers came from the backward walk —
-   queries counted, nodes expanded, zero budget fallbacks — and every
-   answer is checked bit-identical against the forward solution. *)
-let query_head_to_head () =
-  let xbmc = app_named "XBMC" in
-  let config = Gator.Config.default in
-  let r, solved = Gator.Incremental.analyze_solved ~config xbmc in
-  let hierarchy = xbmc.Framework.App.hierarchy in
-  let locations = Gator.Graph.locations r.Gator.Analysis.graph in
-  let probe = query_probe r in
-  let best_of n f =
-    ignore (f ());
-    let best = ref infinity in
-    for _ = 1 to n do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      best := min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let forward_seconds =
-    best_of 5 (fun () ->
-        let r = Gator.Analysis.analyze ~config xbmc in
-        Gator.Analysis.values_at r probe)
-  in
-  let cold_seconds =
-    best_of 5 (fun () ->
-        let q = Gator.Query.create ~hierarchy solved in
-        Gator.Query.points_to q probe)
-  in
-  (* warm: one resident engine, every location queried; the first
-     sweep populates the memo, the timed sweeps are the steady state *)
-  let q = Gator.Query.create ~hierarchy solved in
-  let sweep () = List.iter (fun node -> ignore (Gator.Query.points_to q node)) locations in
-  let sweep_seconds = best_of 5 sweep in
-  let warm_seconds = sweep_seconds /. float_of_int (List.length locations) in
-  let stats = Gator.Query.stats q in
-  let identical =
-    List.for_all
-      (fun node ->
-        Gator.Query.points_to q node = Some (Gator.Analysis.values_at r node))
-      locations
-  in
-  Printf.printf "Demand-driven point query on XBMC (best of 5):\n";
-  Printf.printf "  forward (full solve + lookup)  %9.6f s\n" forward_seconds;
-  Printf.printf "  backward cold (index + walk)   %9.6f s  (%.1fx)\n" cold_seconds
-    (forward_seconds /. cold_seconds);
-  Printf.printf "  backward warm (per query)      %9.6f s  (%d locations/sweep)\n" warm_seconds
-    (List.length locations);
-  Printf.printf
-    "  counters: %d queries, %d expanded, %d memo hits, %d generator hits, %d cycle / %d budget \
-     fallbacks  bit-identical %s\n"
-    stats.Gator.Query.q_queries stats.Gator.Query.q_expanded stats.Gator.Query.q_memo_hits
-    stats.Gator.Query.q_generator_hits stats.Gator.Query.q_cycle_fallbacks
-    stats.Gator.Query.q_budget_fallbacks
-    (if identical then "yes" else "NO");
-  print_newline ();
-  (forward_seconds, cold_seconds, warm_seconds, List.length locations, stats, identical)
-
 (* Streaming ingestion: the same generated stream driven through
    [Experiments.run_stream] at several job counts.  The rows each run
    spills are compared order-normalized against the jobs-1 rows — the
@@ -482,7 +391,7 @@ let stream_head_to_head () =
 (* Machine-readable results: per-test median nanoseconds and GC words
    plus the solver work counters, for regression tracking across
    commits. *)
-let write_json_results rows corpus_batch engines cyclic incremental queries stream =
+let write_json_results rows corpus_batch engines cyclic incremental stream =
   let solver_counters =
     let app = app_named "XBMC" in
     List.map
@@ -563,23 +472,6 @@ let write_json_results rows corpus_batch engines cyclic incremental queries stre
               ("scc_count", Util.Json.Int warm_stats.Gator.Solve.scc_count);
               ("bit_identical", Util.Json.Bool identical);
             ] );
-        ( "query",
-          let forward_seconds, cold_seconds, warm_seconds, locations, stats, identical = queries in
-          Util.Json.Obj
-            [
-              ("app", Util.Json.String "XBMC");
-              ("forward_full_solve_seconds", Util.Json.Float forward_seconds);
-              ("backward_cold_seconds", Util.Json.Float cold_seconds);
-              ("warm_per_query_seconds", Util.Json.Float warm_seconds);
-              ("locations", Util.Json.Int locations);
-              ("queries", Util.Json.Int stats.Gator.Query.q_queries);
-              ("expanded", Util.Json.Int stats.Gator.Query.q_expanded);
-              ("memo_hits", Util.Json.Int stats.Gator.Query.q_memo_hits);
-              ("generator_hits", Util.Json.Int stats.Gator.Query.q_generator_hits);
-              ("cycle_fallbacks", Util.Json.Int stats.Gator.Query.q_cycle_fallbacks);
-              ("budget_fallbacks", Util.Json.Int stats.Gator.Query.q_budget_fallbacks);
-              ("bit_identical", Util.Json.Bool identical);
-            ] );
         ( "stream",
           let stream_apps, entries = stream in
           Util.Json.List
@@ -645,7 +537,6 @@ let () =
   let engines = engine_head_to_head () in
   let cyclic = cyclic_head_to_head () in
   let incremental = incremental_head_to_head () in
-  let queries = query_head_to_head () in
   let stream = stream_head_to_head () in
   let rows = run_benchmarks () in
-  write_json_results rows corpus_batch engines cyclic incremental queries stream
+  write_json_results rows corpus_batch engines cyclic incremental stream

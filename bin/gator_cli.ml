@@ -245,7 +245,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the resident query daemon: solved apps stay hot in memory, point queries are \
-          answered backward from the query node, and patch requests update the state \
+          answered from the solved rows, and patch requests update the state \
           incrementally. Shut down with a $(b,shutdown) request.")
     Term.(const run_serve $ socket_arg $ state_dir $ preload)
 

@@ -188,7 +188,7 @@ and view t (w : Node.view_abs) =
 
 let node t n = Node_pool.intern t.nodes n
 
-(* Non-minting lookups, for demand-side callers (the query engine must
+(* Non-minting lookups, for demand-side callers (a query handle must
    not pollute a solved state's interner with ids the CSR has never
    seen just because a client asked about an unknown node). *)
 let find_node t n = Node_pool.find_opt t.nodes n

@@ -48,7 +48,7 @@ val rid : t -> int -> int
 
 (** {1 Non-minting lookups}
 
-    Demand-side callers (the query engine, protocol parsers, the
+    Demand-side callers (query handles, protocol parsers, the
     {!Graph} solution decoders) must not grow a solved state's
     interner just because a client named an unknown key. *)
 

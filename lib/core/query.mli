@@ -1,15 +1,12 @@
-(** Demand-driven queries over a captured solution.
+(** Client queries over a captured solution.
 
-    A {!t} is a read-only view of a {!Solve.solved}: interner decode,
-    per-representative bitset lookup, and a reverse index of the
-    frozen CSR.  Point queries ({!points_to}) run the flow rules
-    backward from the query node — RECON-style demand evaluation —
-    reading the cached forward solution only at op-written
-    representatives (the recorded {!Solve.solved}[.sd_targets]
-    generator set), at condensed-graph cycles, and when the fuel
-    budget runs out.  Every fallback substitutes the forward fixpoint
-    itself, so answers are bit-identical to forward projections at any
-    budget; [test/test_query.ml] checks this differentially.
+    A {!t} is a read-only view of a {!Solve.solved}: every answer
+    decodes the forward fixpoint's interned rows — the points-to rows
+    through the same {!Graph} reader [Analysis.values_at] uses, the
+    registration and view-hierarchy rows directly.  Nothing is derived
+    at query time, so an answer equals the forward projection by
+    construction; [test/test_query.ml] checks the relation queries
+    against a cold {!Analysis}.
 
     A query handle never mutates the solved state and never grows its
     interner (unknown keys use non-minting lookups), so handles over
@@ -20,50 +17,33 @@ type t
 
 type stats = {
   mutable q_queries : int;  (** point queries answered *)
-  mutable q_memo_hits : int;  (** representatives answered from the handle's memo *)
-  mutable q_expanded : int;  (** representatives expanded by the backward walk *)
-  mutable q_edges : int;  (** reverse condensed edges traversed *)
-  mutable q_generator_hits : int;
-      (** op-written representatives answered from the cached forward fixpoint *)
-  mutable q_cycle_fallbacks : int;  (** cast-edge cycles in the condensed graph *)
-  mutable q_budget_fallbacks : int;  (** walks truncated by the fuel budget *)
+  mutable q_memo_hits : int;
+      (** always [0]: answers are read from the solved rows, so there
+          is no memo; kept so existing readers of the record compile *)
+  mutable q_expanded : int;
+      (** always [0]: no representative is ever re-derived at query
+          time *)
+  mutable q_budget_fallbacks : int;
+      (** always [0]: a query has no budget to run out of *)
 }
 
 val create : hierarchy:Jir.Hierarchy.t -> Solve.solved -> t
-(** Build the reverse condensed-edge index, per-representative seed
-    sets and generator set.  [hierarchy] drives cast filtering on
-    backward walks and must describe the same classes the solve saw
-    (guard with {!Solve.solved_class_fp} when it comes from a rebuilt
-    app). *)
+(** O(1).  [hierarchy] is ignored: the solved rows already carry the
+    cast filtering the solve applied. *)
 
 val stats : t -> stats
-(** Cumulative counters since {!create}; the bench row uses these to
-    prove a warm point query ran demand-driven (no solver, bounded
-    expansions). *)
+(** Cumulative counters since {!create}. *)
 
-val solved : t -> Solve.solved
-
-val interner : t -> Intern.t
-
-val default_budget : int
-
-val points_to : ?budget:int -> t -> Node.t -> Node.value list option
-(** Values reaching the location, derived backward; [None] when the
-    node was never interned (unknown to this app's graph — the
-    protocol maps it to an [unknown-node] error).  [budget] caps
-    representative expansions per query; any value yields the same
-    answer, smaller budgets just read more from the cached solution.
-    Results are sorted by {!Node.compare_value}, matching
-    [Analysis.values_at]. *)
-
-val points_to_bits : ?budget:int -> t -> Node.t -> Util.Bitset.t option
-(** Id-level variant; the returned bitset is owned by the handle's
-    memo — treat as read-only. *)
+val points_to : t -> Node.t -> Node.value list option
+(** Values reaching the location; [None] when the node was never
+    interned (unknown to this app's graph — the protocol maps it to an
+    [unknown-node] error).  Results are sorted by
+    {!Node.compare_value}, matching [Analysis.values_at]. *)
 
 val views_of_listener : t -> Node.listener_abs -> Node.view_abs list
 (** Views the listener is registered on (any interface), sorted by
     {!Node.compare_view}: the inverse of [Analysis.listeners_of_view],
-    read demand-driven from the solved registration rows. *)
+    read from the solved registration rows. *)
 
 val activities_of_id : t -> string -> string list
 (** Activity classes whose displayable view hierarchy (roots plus

@@ -346,7 +346,7 @@ let drows ~size j =
   a
 
 (* Every row index and member must name an entry of its pool.  The
-   graph and the query engine decode rows lazily, so a dangling id
+   graph and query handles decode rows lazily, so a dangling id
    would otherwise surface (or decode to a placeholder) long after
    loading. *)
 let check_rows what ~index ~member rows =

@@ -2059,14 +2059,7 @@ let shape_of_solved sd =
 
 let solved_interner sd = sd.sd_it
 
-(* Documented read-side accessors for [Query]: the rep map with the
-   same out-of-range guard as [irep] (ids minted after freeze are their
-   own singleton components), plus the identity fields a registry keys
-   on. *)
-let solved_rep sd nid = if nid >= 0 && nid < sd.sd_csr_n then sd.sd_nrep.(nid) else nid
-
-let solved_app_name sd = sd.sd_app_name
-
+(* Read-side accessors for the identity fields a registry keys on. *)
 let solved_config sd = sd.sd_config
 
 let solved_class_fp sd = sd.sd_class_fp

@@ -146,33 +146,18 @@ val layout_fp : Framework.App.t -> string
 (** Fingerprint of the layout resources; a mismatch forces a full
     re-solve. *)
 
-val passes_cast : Jir.Hierarchy.t -> string -> Node.value -> bool
-(** Can [value] pass through a cast to the named class?  Sound
-    filtering: the abstract object's dynamic class is known exactly, so
-    the cast succeeds iff it is a subtype; unknown classes pass, id
-    values never do.  Exposed for the demand-driven {!Query} engine,
-    which must filter backward walks over cast edges exactly as the
-    forward solver does. *)
-
 val shape_of_graph : Graph.t -> shape
 
 val shape_of_solved : solved -> shape
 
 val solved_interner : solved -> Intern.t
 
-val solved_rep : solved -> int -> int
-(** SCC representative of a node id, with the same guard the solver
-    applies: ids outside the frozen CSR (minted mid-solve or later) are
-    their own singleton representatives. *)
-
-val solved_app_name : solved -> string
-
 val solved_config : solved -> Config.t
 
 val solved_class_fp : solved -> string
 (** Class-hierarchy fingerprint at capture; a registry reloading state
-    from disk checks it against the freshly built app before trusting
-    hierarchy-dependent answers (cast filtering). *)
+    from disk checks it against the freshly built app before serving
+    the captured rows as that app's answers. *)
 
 val run_solved : ?fallback:string -> Config.t -> Framework.App.t -> Graph.t -> stats * solved
 (** Full solve that also captures the solution for warm restarts.

@@ -49,6 +49,9 @@ type request =
   | R_list
   | R_load of string
   | R_points_to of { app : string; node : Gator.Node.t; budget : int option }
+      (** a wire ["budget"] must be a non-negative int and is otherwise
+          ignored: answers are read from the solved rows, so there is
+          no work to cap.  Kept so clients that send it still parse. *)
   | R_views_of_listener of { app : string; listener : Gator.Node.listener_abs }
   | R_activities_of_id of { app : string; id : string }
   | R_patch of { app : string; edits : Util.Json.t }

@@ -2,7 +2,7 @@
 
     The interned solver engine stores solution sets, delta sets and
     relationship tables as bitsets keyed by interner ids; the query
-    engine reads the same sets demand-driven.  Words are OCaml native
+    daemon decodes the same sets.  Words are OCaml native
     ints ([Sys.int_size] usable bits), so every hot operation is
     word-level. *)
 

@@ -56,20 +56,19 @@ let test_dispatch () =
   Alcotest.(check (option string))
     "unknown corpus app on load" (Some "unknown-app")
     (error_code (handle_json t (req_load "NoSuchApp")));
-  (* load, then answers must match a local Query over the same app *)
+  (* load, then answers must match a local forward analysis of the same app *)
   let load1 = handle_json t (req_load "ConnectBot") in
   Alcotest.(check (option string)) "load ok" None (error_code load1);
   Alcotest.(check (option int)) "fresh load is generation 0" (Some 0) (generation load1);
   let app = Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "ConnectBot")) in
-  let r, solved = Gator.Incremental.analyze_solved app in
-  let q = Gator.Query.create ~hierarchy:app.Framework.App.hierarchy solved in
+  let r = Gator.Analysis.analyze app in
   List.iter
     (fun node ->
       let expected =
         J.List
           (List.map
              (fun v -> J.String (Fmt.str "%a" Gator.Node.pp_value v))
-             (Option.get (Gator.Query.points_to q node)))
+             (Gator.Analysis.values_at r node))
       in
       let response = handle_json t (req_points_to "ConnectBot" node) in
       match ok_payload response with
@@ -341,6 +340,16 @@ let patch_edits =
         ];
     ]
 
+(* The local [patch_edits] allocates into. *)
+let srv_tmp =
+  Gator.Node.N_var
+    ({ Gator.Node.mid_cls = "Activity_0"; mid_name = "onCreate"; mid_arity = 0 }, "srv_tmp")
+
+(* The first three locations of a solved XBMC. *)
+let xbmc_probes () =
+  let r = Gator.Analysis.analyze (xbmc ()) in
+  match Gator.Graph.locations r.Gator.Analysis.graph with a :: b :: c :: _ -> [ a; b; c ] | l -> l
+
 let patch_of_edits edits =
   match Corpus.Patch.of_json edits with
   | Ok p -> p
@@ -368,17 +377,7 @@ let test_concurrent_patch () =
         | Error e -> Alcotest.failf "patch: %s" e
       in
       (* probe nodes: existing locations plus the patch-minted one *)
-      let fresh =
-        Gator.Node.N_var
-          ({ Gator.Node.mid_cls = "Activity_0"; mid_name = "onCreate"; mid_arity = 0 }, "srv_tmp")
-      in
-      let r = Gator.Analysis.analyze base in
-      let existing =
-        match Gator.Graph.locations r.Gator.Analysis.graph with
-        | a :: b :: c :: _ -> [ a; b; c ]
-        | l -> l
-      in
-      let nodes = fresh :: existing in
+      let nodes = srv_tmp :: xbmc_probes () in
       let pre = local_answers base nodes and post = local_answers patched nodes in
       let failures = Queue.create () in
       let mutex = Mutex.create () in
@@ -467,14 +466,7 @@ let test_crash_recovery () =
     end
   in
   Fun.protect ~finally:cleanup (fun () ->
-      let nodes =
-        [
-          Gator.Node.N_var
-            ( { Gator.Node.mid_cls = "Activity_0"; mid_name = "onCreate"; mid_arity = 0 },
-              "srv_tmp" );
-          Gator.Node.N_field "f";
-        ]
-      in
+      let nodes = [ srv_tmp; Gator.Node.N_field "f" ] in
       let t1 = mk_server ~state_dir () in
       Alcotest.(check (option string)) "load" None (error_code (handle_json t1 (req_load "XBMC")));
       Alcotest.(check (option string))
@@ -516,41 +508,74 @@ let test_crash_recovery () =
       | None -> Alcotest.fail "load response has no ok payload");
       Alcotest.(check (list string)) "answers identical after corrupt state" before (answers t3))
 
+let stat_field t name =
+  match ok_payload (handle_json t (P.request_to_json (P.R_stats "XBMC"))) with
+  | Some (J.Obj fields) -> (
+      match List.assoc_opt name fields with
+      | Some (J.Int v) -> v
+      | _ -> Alcotest.failf "stats reply lacks %S" name)
+  | _ -> Alcotest.fail "stats reply not an object"
+
 (* The stats reply is cumulative per loaded app: a patch replaces the
-   query handle (fresh memo over the new solved state) but must NOT
-   zero the counters a client is watching — the daemon snapshots the
-   retiring handle's totals into the fresh one. *)
+   query handle but must NOT zero the query count a client is
+   watching — the daemon carries the retiring handle's total into the
+   fresh one. *)
 let test_stats_survive_patch () =
   let t = mk_server () in
   Alcotest.(check (option string)) "load ok" None (error_code (handle_json t (req_load "XBMC")));
-  let r, _ = Gator.Incremental.analyze_solved (xbmc ()) in
-  let probes =
-    match Gator.Graph.locations r.Gator.Analysis.graph with
-    | a :: b :: c :: _ -> [ a; b; c ]
-    | l -> l
-  in
+  let probes = xbmc_probes () in
   List.iter (fun node -> ignore (handle_json t (req_points_to "XBMC" node))) probes;
-  let stat_field name =
-    match ok_payload (handle_json t (P.request_to_json (P.R_stats "XBMC"))) with
-    | Some (J.Obj fields) -> (
-        match List.assoc_opt name fields with
-        | Some (J.Int v) -> v
-        | _ -> Alcotest.failf "stats reply lacks %S" name)
-    | _ -> Alcotest.fail "stats reply not an object"
-  in
-  Alcotest.(check int) "queries before the patch" (List.length probes) (stat_field "queries");
+  Alcotest.(check int) "queries before the patch" (List.length probes) (stat_field t "queries");
   let patched =
     handle_json t (P.request_to_json (P.R_patch { app = "XBMC"; edits = patch_edits }))
   in
   Alcotest.(check (option int)) "patch bumps generation" (Some 1) (generation patched);
-  Alcotest.(check int) "queries survive the patch" (List.length probes) (stat_field "queries");
+  Alcotest.(check int) "queries survive the patch" (List.length probes) (stat_field t "queries");
   List.iter (fun node -> ignore (handle_json t (req_points_to "XBMC" node))) probes;
-  Alcotest.(check int) "and keep accumulating" (2 * List.length probes) (stat_field "queries")
+  Alcotest.(check int) "and keep accumulating" (2 * List.length probes) (stat_field t "queries")
+
+(* A wire budget is validated and otherwise ignored: [budget: 0]
+   answers byte-identically to no budget (before and after a patch, the
+   patched-in node included), a negative or non-int budget is
+   [bad-params], and the walk-era [budget_fallbacks] key reads 0. *)
+let test_budget_ignored () =
+  let t = mk_server () in
+  Alcotest.(check (option string)) "load ok" None (error_code (handle_json t (req_load "XBMC")));
+  let same_answers label =
+    List.iter
+      (fun node ->
+        Alcotest.(check string)
+          (Fmt.str "%s: budget 0 = no budget at %a" label Gator.Node.pp node)
+          (handle t (req_points_to "XBMC" node))
+          (handle t (req_points_to ~budget:0 "XBMC" node)))
+      (srv_tmp :: xbmc_probes ())
+  in
+  same_answers "generation 0";
+  let bad_budget budget =
+    error_code
+      (handle_json t
+         (J.Obj
+            [
+              ("method", J.String "points-to-of-node");
+              ("app", J.String "XBMC");
+              ("node", P.node_to_json srv_tmp);
+              ("budget", budget);
+            ]))
+  in
+  Alcotest.(check (option string)) "negative budget" (Some "bad-params") (bad_budget (J.Int (-1)));
+  Alcotest.(check (option string))
+    "non-int budget" (Some "bad-params") (bad_budget (J.String "7"));
+  Alcotest.(check (option int))
+    "patch bumps generation" (Some 1)
+    (generation (handle_json t (P.request_to_json (P.R_patch { app = "XBMC"; edits = patch_edits }))));
+  same_answers "generation 1";
+  Alcotest.(check int) "budget_fallbacks after a patch" 0 (stat_field t "budget_fallbacks")
 
 let suite =
   [
     Alcotest.test_case "dispatch: answers, envelopes, survival" `Quick test_dispatch;
     Alcotest.test_case "stats survive a patch" `Quick test_stats_survive_patch;
+    Alcotest.test_case "wire budget validated, then ignored" `Quick test_budget_ignored;
     Alcotest.test_case "operand codecs round-trip" `Quick test_codecs;
     Alcotest.test_case "hostile frames against a live daemon" `Quick test_hostile_frames;
     Alcotest.test_case "crash recovery from snapshot state" `Quick test_crash_recovery;

@@ -12,7 +12,7 @@
      polluted, the concrete activity's are not, and taint ⊆ solution
      everywhere;
    - concrete queries still see the [SetId (v, ⊤)] sentinel carrier,
-     forward and backward;
+     through [Analysis] and through the [Query] decoders;
    - solved state round-trips through the snapshot codec with taints,
      and warm starts refuse ⊤ state with a pinned reason. *)
 open Gator
@@ -118,8 +118,8 @@ let test_sentinel_concrete_queries () =
       (Analysis.views_with_id r "vid_btn1")
   in
   Alcotest.(check bool) "sentinel carrier in views_with_id" true carrier;
-  (* backward activities-of-id agrees with the forward projection,
-     sentinel included *)
+  (* the activities-of-id row reader agrees with the forward
+     projection, sentinel included *)
   let q = Query.create ~hierarchy:app.Framework.App.hierarchy solved in
   List.iter
     (fun i ->
