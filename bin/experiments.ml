@@ -437,6 +437,10 @@ let run_all jobs fail_apps =
   print_newline ();
   print_endline (Report.Experiments.context_precision ());
   print_newline ();
+  print_endline (Report.Experiments.scalability ());
+  print_newline ();
+  print_endline (Report.Experiments.figures ());
+  print_newline ();
   print_endline (Report.Experiments.soundness_sweep ());
   exit (exit_code fail_apps results)
 
@@ -471,7 +475,7 @@ let soundness_cmd =
     Term.(const run_soundness $ apps $ seed)
 
 let () =
-  (* Solver warnings (e.g. the iteration cap) go to stderr. *)
+  (* Warnings the libraries log go to stderr. *)
   Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
   Logs.set_level (Some Logs.Warning);
   let default = Term.(const run_all $ jobs_arg $ fail_apps_arg) in

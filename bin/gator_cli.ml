@@ -331,7 +331,7 @@ let stream_cmd =
       $ Term.app (const not) no_timings $ quiet)
 
 let () =
-  (* Solver warnings (e.g. the iteration cap) go to stderr. *)
+  (* Warnings the libraries log go to stderr. *)
   Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
   Logs.set_level (Some Logs.Warning);
   let code =

@@ -8,7 +8,7 @@
    dynamic semantics as the "exploration", and reports coverage. *)
 
 let () =
-  (* Solver warnings (e.g. the iteration cap) go to stderr. *)
+  (* Warnings the libraries log go to stderr. *)
   Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
   Logs.set_level (Some Logs.Warning);
   let name = match Sys.argv with [| _; n |] -> n | _ -> "ConnectBot" in

@@ -17,7 +17,7 @@ let show r name node = Fmt.pr "%-28s = {%a}@." name
     (Gator.Analysis.views_at r node)
 
 let () =
-  (* Solver warnings (e.g. the iteration cap) go to stderr. *)
+  (* Warnings the libraries log go to stderr. *)
   Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
   Logs.set_level (Some Logs.Warning);
   let app = Corpus.Connectbot.app () in

@@ -1,7 +1,7 @@
 (* Run the dynamic semantics on the Figure 1 example and verify the
    static solution covers every observed behavior. *)
 let () =
-  (* Solver warnings (e.g. the iteration cap) go to stderr. *)
+  (* Warnings the libraries log go to stderr. *)
   Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
   Logs.set_level (Some Logs.Warning);
   let app = Corpus.Connectbot.app () in

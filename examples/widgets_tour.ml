@@ -97,7 +97,7 @@ let layouts =
   ]
 
 let () =
-  (* Solver warnings (e.g. the iteration cap) go to stderr. *)
+  (* Warnings the libraries log go to stderr. *)
   Logs.set_reporter (Logs_fmt.reporter ~dst:Fmt.stderr ());
   Logs.set_level (Some Logs.Warning);
   let app =

@@ -9,7 +9,6 @@ type t = {
   model_dialogs : bool;
   inline_depth : int;
   inline_body_limit : int;
-  max_iterations : int;
   solver : solver;
 }
 
@@ -21,7 +20,6 @@ let default =
     model_dialogs = true;
     inline_depth = 0;
     inline_body_limit = 24;
-    max_iterations = 1000;
     solver = Interned;
   }
 
@@ -33,6 +31,5 @@ let baseline =
     model_dialogs = false;
     inline_depth = 0;
     inline_body_limit = 24;
-    max_iterations = 1000;
     solver = Interned;
   }

@@ -1,14 +1,14 @@
 (** Analysis configuration: the modelling choices that define which
-    fixed point is computed (Section 4.2 plus the refinements below),
-    the engine that computes it, and its safety valve.  Nothing here
+    fixed point is computed (Section 4.2 plus the refinements below)
+    and the engine that computes it.  Nothing here
     is an operational knob: pool sizes live in {!Pool}
     ([Pool.default_jobs]), and how an engine represents ids is
     derived, not configured.
 
     The defaults reproduce the paper's implementation (including the
     FINDVIEW3 children-only refinement it mentions employing); each
-    switch exists for the ablation benchmarks documented in
-    DESIGN.md. *)
+    switch exists for the ablations ([experiments ablations])
+    documented in DESIGN.md. *)
 
 (** Fixed-point engine selection.  Both compute the same solution;
     [Naive] re-applies every operation against full sets each round
@@ -41,14 +41,13 @@ type t = {
           value flow.  [0] (the default) reproduces the paper's
           context-insensitive analysis; the paper's Section 5 notes
           context sensitivity as the cure for the XBMC receivers
-          outlier — see the ablation benches.  Both engines solve the
+          outlier — see the ablations.  Both engines solve the
           same inlined graph: each clone renames the callee's locals
           with {!Node.clone_var}. *)
   inline_body_limit : int;
       (** Bound on the body size (statement count) of callees eligible
           for context-sensitive separation; larger callees share their
           locals context-insensitively. *)
-  max_iterations : int;  (** fixed-point safety valve *)
   solver : solver;  (** fixed-point engine; results are identical *)
 }
 

@@ -104,7 +104,6 @@ let jconfig (c : Config.t) =
       ("model_dialogs", J.Bool c.model_dialogs);
       ("inline_depth", J.Int c.inline_depth);
       ("inline_body_limit", J.Int c.inline_body_limit);
-      ("max_iterations", J.Int c.max_iterations);
       ("solver", J.String (Config.solver_name c.solver));
     ]
 
@@ -304,9 +303,15 @@ let dop_site = function
 (* Unknown keys are ignored: documents written while the configuration
    also carried operational knobs (interner tier, pool cap, clone
    representation, an incremental flag) decode to the analysis fields
-   alone, so they stay loadable and warm-compatible. *)
+   alone, so they stay loadable and warm-compatible.  Earlier builds
+   also wrote the solver's iteration cap, since removed.  Every binary
+   wrote 1000; a document recording any other cap may hold a partial
+   solution, so it is refused. *)
 let dconfig j =
   let bool_field name = match dfield name j with J.Bool b -> b | _ -> bad "bad %s" name in
+  (match J.member "max_iterations" j with
+  | None | Some (J.Int 1000) -> ()
+  | Some _ -> bad "snapshot records an iteration cap other than 1000; its state may be partial");
   {
     Config.cast_filtering = bool_field "cast_filtering";
     findone_refinement = bool_field "findone_refinement";
@@ -319,7 +324,6 @@ let dconfig j =
       (match J.member "inline_body_limit" j with
       | None -> 24
       | Some v -> dint v);
-    max_iterations = dint (dfield "max_iterations" j);
     solver =
       (match dstr (dfield "solver" j) with
       | "naive" -> Config.Naive

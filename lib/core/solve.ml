@@ -693,14 +693,16 @@ let seed_and_count state =
     (Graph.seeds state.graph)
 
 (* The reference fixed point: re-apply every op against full sets each
-   round until nothing changes. *)
+   round until nothing changes.  The sets only grow, over the app's
+   finite abstractions, so the loop terminates; it has no cap, and so
+   never returns a partial solution. *)
 let run_naive state =
   seed_and_count state;
   propagate_full state;
   let ops = Graph.ops state.graph in
   let iterations = ref 0 in
   let continue_ = ref true in
-  while !continue_ && !iterations < state.config.Config.max_iterations do
+  while !continue_ do
     incr iterations;
     state.dirty <- false;
     List.iter
@@ -713,8 +715,6 @@ let run_naive state =
     propagate_full state;
     continue_ := state.dirty
   done;
-  if !continue_ then
-    Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
   !iterations
 
 (* The spec's fixpoint as graph rows: every node is its own
@@ -1732,8 +1732,9 @@ type iret_target = IT_op of int | IT_frags
    once the worklist plumbing exists; [record] turns on write
    recording (needed whenever the result will be captured as a
    [solved]).  Recording never changes what is pushed, so a recorded
-   solve is bit-identical to an unrecorded one. *)
-let iloop st ~record ~init config =
+   solve is bit-identical to an unrecorded one.  Like [run_naive], it
+   runs to the fixed point with no iteration cap. *)
+let iloop st ~record ~init =
   let op_count = Array.length st.iops in
   let op_wl = Queue.create () in
   let op_pending = Util.Bitset.create () in
@@ -1764,7 +1765,7 @@ let iloop st ~record ~init config =
   let work_remaining () =
     (not (Queue.is_empty op_wl)) || !pending_decl || !pending_frags
   in
-  while work_remaining () && !iterations < config.Config.max_iterations do
+  while work_remaining () do
     incr iterations;
     while not (Queue.is_empty op_wl) do
       let oi = Queue.pop op_wl in
@@ -1804,8 +1805,6 @@ let iloop st ~record ~init config =
     st.irc_onclick <- false;
     st.irc_fragments <- false
   done;
-  if work_remaining () then
-    Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
   (!iterations, ret_deps)
 
 (* Cold start: push every seed, propagate, schedule every op and both
@@ -1840,7 +1839,7 @@ let istats st ~iterations ~warm_solve ~dirty_comps ~reused_comps ~fallback =
 
 let run_interned config (app : Framework.App.t) graph =
   let st = ifreeze config app graph in
-  let iterations, _ret_deps = iloop st ~record:false ~init:(icold_init st) config in
+  let iterations, _ret_deps = iloop st ~record:false ~init:(icold_init st) in
   ihand_over st;
   istats st ~iterations ~warm_solve:false ~dirty_comps:0 ~reused_comps:0 ~fallback:None
 
@@ -2357,7 +2356,7 @@ let compute_taints (app : Framework.App.t) graph =
 let run_solved ?fallback config (app : Framework.App.t) graph =
   Graph.reset_sets graph;
   let st = ifreeze config app graph in
-  let iterations, ret_deps = iloop st ~record:true ~init:(icold_init st) config in
+  let iterations, ret_deps = iloop st ~record:true ~init:(icold_init st) in
   ihand_over st;
   compute_taints app graph;
   let stats = istats st ~iterations ~warm_solve:false ~dirty_comps:0 ~reused_comps:0 ~fallback in
@@ -2742,7 +2741,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
           !frags_suspect || !children_cleared || target_dirty (old_op_count + 1);
         ipropagate st ~changed:on_changed
       in
-      let iterations, ret_deps = iloop st ~record:true ~init:iwarm_init config in
+      let iterations, ret_deps = iloop st ~record:true ~init:iwarm_init in
       ihand_over st;
       let stats =
         istats st ~iterations ~warm_solve:true ~dirty_comps:(Util.Bitset.cardinal dirty)

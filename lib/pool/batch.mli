@@ -1,7 +1,7 @@
 (** Domain-based worker pool for independent batch tasks.
 
     Batch drivers (corpus table regeneration, multi-app CLI runs, the
-    benchmark head-to-head) analyze many applications whose analyses
+    perfbench corpus workload) analyze many applications whose analyses
     share no state; this pool runs them on OCaml 5 domains while
     keeping the observable behavior of a sequential loop:
 

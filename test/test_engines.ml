@@ -131,44 +131,6 @@ let test_xbmc_work_counters () =
   Alcotest.check Alcotest.bool "interned beats its own rounds*|ops| bound" true
     (ri.stats.Solve.op_applications < ri.stats.Solve.iterations * ops)
 
-(* A capped solve is reported, not silent: each engine emits exactly
-   one warning through whatever [Logs] reporter the binary installed. *)
-let test_iteration_cap_warning () =
-  let app = Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "XBMC")) in
-  let warnings = ref [] in
-  let capture =
-    {
-      Logs.report =
-        (fun _src level ~over k msgf ->
-          msgf (fun ?header:_ ?tags:_ fmt ->
-              Format.kasprintf
-                (fun msg ->
-                  if level = Logs.Warning then warnings := msg :: !warnings;
-                  over ();
-                  k ())
-                fmt));
-    }
-  in
-  let reporter = Logs.reporter () and level = Logs.level () in
-  Logs.set_reporter capture;
-  Logs.set_level (Some Logs.Warning);
-  Fun.protect
-    ~finally:(fun () ->
-      Logs.set_reporter reporter;
-      Logs.set_level level)
-    (fun () ->
-      List.iter
-        (fun solver ->
-          let name = Config.solver_name solver in
-          warnings := [];
-          ignore (Analysis.analyze ~config:{ Config.default with solver; max_iterations = 1 } app);
-          Alcotest.check
-            Alcotest.(list string)
-            (name ^ " cap warnings")
-            [ "solver hit the iteration cap (1); result may be partial" ]
-            !warnings)
-        [ Config.Naive; Config.Interned ])
-
 let test_interned_is_default () =
   Alcotest.check Alcotest.string "default solver" "interned"
     (Config.solver_name Config.default.Config.solver)
@@ -179,6 +141,5 @@ let suite =
     Alcotest.test_case "ConnectBot equivalence (all configs)" `Quick test_connectbot;
     Alcotest.test_case "XBMC work counters" `Quick test_xbmc_work_counters;
     Alcotest.test_case "random apps equivalence" `Quick test_random_apps;
-    Alcotest.test_case "iteration cap warns once per engine" `Quick test_iteration_cap_warning;
     Alcotest.test_case "full corpus equivalence" `Slow test_corpus_equivalence;
   ]

@@ -89,7 +89,7 @@ let test_patch_rename_id () =
   let _, solved = Incremental.analyze_solved app in
   let warm, _ = run_patch ~msg:"rename-id" app solved (load_patch "rename_id.json") in
   (* a seed-only patch cannot dirty the whole condensation (locality
-     proper — dirty ≪ total — is measured on XBMC in the benches) *)
+     on a large app is pinned by test_query.ml's XBMC+stmt case) *)
   Alcotest.check Alcotest.bool "some components stay clean" true
     (warm.stats.Solve.dirty_comps < warm.stats.Solve.scc_count
     && warm.stats.Solve.reused_comps > 0)
@@ -265,27 +265,60 @@ let test_snapshot_stale_version () =
       Alcotest.check Alcotest.bool "reason names the version" true (contains ~sub:"version" e)
   | Ok _ -> Alcotest.fail "stale version accepted"
 
+(* A snapshot document with one config field replaced. *)
+let with_config_field name value = function
+  | Util.Json.Obj fields ->
+      Util.Json.Obj
+        (List.map
+           (function
+             | "config", Util.Json.Obj cfields ->
+                 let set (k, v) = (k, if k = name then value else v) in
+                 ("config", Util.Json.Obj (List.map set cfields))
+             | f -> f)
+           fields)
+  | _ -> Alcotest.fail "snapshot is not an object"
+
+(* Load a committed snapshot of [inc_app]: it must load, pass the warm
+   guard under today's default configuration, and warm-patch to exactly
+   the cold solution. *)
+let load_warm_fixture file =
+  match Snapshot.load (fixture_path file) with
+  | Error e -> Alcotest.failf "%s refused: %s" file e
+  | Ok loaded ->
+      let app = inc_app () in
+      let graph = Extract.run ~interner:(Solve.solved_interner loaded) Config.default app in
+      Alcotest.(check (option string)) (file ^ ": warm guard accepts") None
+        (Solve.warm_guard loaded Config.default app graph);
+      ignore (run_patch ~msg:(file ^ " warm") app loaded (load_patch "add_handler.json"));
+      loaded
+
 (* A snapshot written by an earlier build, kept as a fixture: a
    GATOR-SNAP v2 document of [inc_app] whose config still carries the
    four operational fields since retired ([ctx_keyed], [jobs],
    [incremental], [shared_intern]), and whose value and rid pools start
    with the 258/257-entry frozen resource windows that build's
    interners pre-reserved.  The codec ignores the retired fields and
-   replays the pools positionally, so the document must load, pass the
-   warm guard under today's default configuration, and warm-patch to
-   exactly the cold solution. *)
+   replays the pools positionally, so the document must load and
+   warm-start. *)
 let test_snapshot_earlier_build () =
-  match Snapshot.load (fixture_path "snapshot_v2_frozen_tier.json") with
-  | Error e -> Alcotest.failf "earlier-build snapshot refused: %s" e
-  | Ok loaded ->
-      let it = Solve.solved_interner loaded in
-      Alcotest.(check bool) "pools replayed with the frozen windows" true
-        (Intern.value_count it > 258 && Intern.rid_count it >= 257);
-      let app = inc_app () in
-      let graph = Extract.run ~interner:it Config.default app in
-      Alcotest.(check (option string)) "warm guard accepts" None
-        (Solve.warm_guard loaded Config.default app graph);
-      ignore (run_patch ~msg:"earlier-build warm" app loaded (load_patch "add_handler.json"))
+  let it = Solve.solved_interner (load_warm_fixture "snapshot_v2_frozen_tier.json") in
+  Alcotest.(check bool) "pools replayed with the frozen windows" true
+    (Intern.value_count it > 258 && Intern.rid_count it >= 257)
+
+(* A snapshot written by the last build whose configuration carried
+   the solver's iteration cap, kept as a fixture: its config records
+   ["max_iterations": 1000], the value every binary wrote, so it must
+   load and warm-start.  The same document edited to record a cap of 1
+   may hold a partial solution, so it must load as [Error]. *)
+let test_snapshot_iteration_cap () =
+  let file = "snapshot_v2_iteration_cap.json" in
+  ignore (load_warm_fixture file);
+  match Util.Json.of_string (In_channel.with_open_bin (fixture_path file) In_channel.input_all) with
+  | Error e -> Alcotest.failf "%s does not parse: %s" file e
+  | Ok doc -> (
+      match Snapshot.of_json (with_config_field "max_iterations" (Util.Json.Int 1) doc) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "snapshot capped at 1 iteration loaded")
 
 (* Snapshots written while a third, structural semi-naive engine
    existed may carry ["solver": "delta"].  That engine computed the
@@ -295,20 +328,7 @@ let test_snapshot_earlier_build () =
 let test_snapshot_retired_solver () =
   let app = inc_app () in
   let _, solved = Incremental.analyze_solved app in
-  let retired = function
-    | "config", Util.Json.Obj cfields ->
-        ( "config",
-          Util.Json.Obj
-            (List.map
-               (function "solver", _ -> ("solver", Util.Json.String "delta") | f -> f)
-               cfields) )
-    | f -> f
-  in
-  let doc =
-    match Snapshot.to_json solved with
-    | Util.Json.Obj fields -> Util.Json.Obj (List.map retired fields)
-    | _ -> Alcotest.fail "snapshot is not an object"
-  in
+  let doc = with_config_field "solver" (Util.Json.String "delta") (Snapshot.to_json solved) in
   match Snapshot.of_json doc with
   | Error e -> Alcotest.failf "retired-solver snapshot refused: %s" e
   | Ok loaded ->
@@ -454,6 +474,7 @@ let suite =
     Alcotest.test_case "snapshot corrupt input" `Quick test_snapshot_corrupt;
     Alcotest.test_case "snapshot stale version" `Quick test_snapshot_stale_version;
     Alcotest.test_case "snapshot from an earlier build" `Quick test_snapshot_earlier_build;
+    Alcotest.test_case "snapshot recording the iteration cap" `Quick test_snapshot_iteration_cap;
     Alcotest.test_case "snapshot from the retired delta solver" `Quick test_snapshot_retired_solver;
     Alcotest.test_case "fallback surfaced in stats" `Quick test_fallback_surfaced;
     Alcotest.test_case "cs solve falls back" `Quick test_cs_falls_back;

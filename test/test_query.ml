@@ -134,7 +134,10 @@ let test_qcheck_cyclic =
 (* Incrementally patched apps: the decoders must be exact over a
    WARM-captured state (whose rows alias the previous solve's),
    checked against a cold from-scratch forward solve of the patched
-   app. *)
+   app, and the warm analysis must equal the cold one bit for bit.
+   Each patch touches one statement or one id, so its warm solve must
+   also stay local: it re-solves fewer components than the
+   condensation has and reuses the rest. *)
 let test_patched () =
   let base = Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "XBMC")) in
   let _, solved0 = Incremental.analyze_solved base in
@@ -162,9 +165,16 @@ let test_patched () =
            | Error e -> Alcotest.failf "%s: patch failed: %s" name e
          in
          let warm_r, warm_solved = Incremental.analyze_incremental ~prev patched in
-         Alcotest.(check bool) (name ^ " solved warm") true warm_r.Analysis.stats.Solve.warm_solve;
+         let stats = warm_r.Analysis.stats in
+         Alcotest.(check bool) (name ^ " solved warm") true stats.Solve.warm_solve;
+         Alcotest.(check bool)
+           (name ^ " dirty < sccs") true
+           (stats.Solve.dirty_comps < stats.Solve.scc_count);
+         Alcotest.(check bool) (name ^ " reuses components") true (stats.Solve.reused_comps > 0);
          (* forward reference: a cold solve of the same patched app *)
          let cold = Analysis.analyze patched in
+         let d = Diff.compare cold warm_r in
+         if not (Diff.is_empty d) then Alcotest.failf "%s: warm differs from cold: %a" name Diff.pp d;
          check_queries name cold warm_solved;
          warm_solved)
        solved0 patches)
